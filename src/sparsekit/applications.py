@@ -296,10 +296,3 @@ def is_k_choosable(g, k, order_limit=7, k_limit=2):
         return True
 
     return assign(0, 0)
-
-
-def choosability_implies_chromatic(g, k):
-    """Sanity relation: k-choosable implies k-colorable (identical lists)."""
-    from .graphs import chromatic_number
-
-    return chromatic_number(g, exact_limit=max(12, g.n)) <= k

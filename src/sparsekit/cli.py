@@ -36,10 +36,34 @@ def load_graph(spec):
         return named(spec[len("named:"):])
     if "(" in spec and not Path(spec).exists():
         return generators.generate(spec)
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise ParseError(f"no such input: {spec}")
-    return parse_edge_list(path.read_text(encoding="utf-8"))
+    return parse_edge_list(read_text(spec))
+
+
+def read_text(spec):
+    """UTF-8 text of a file, or of stdin for '-'; a ParseError otherwise."""
+    try:
+        return sys.stdin.read() if spec == "-" else Path(spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input {spec} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read input {spec}: {exc.strerror}") from None
+
+
+def load_coloring(spec):
+    """Coloring from JSON with an integer list "colors" and optional "palette"."""
+    try:
+        obj = json.loads(read_text(spec))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"coloring {spec} is not valid JSON: {exc}") from None
+    obj = obj if isinstance(obj, dict) else {}
+    colors, palette = obj.get("colors"), obj.get("palette")
+    if not (isinstance(colors, list) and all(type(c) is int for c in colors)
+            and (palette is None or type(palette) is int)):
+        raise ParseError(f'coloring {spec} needs an integer list "colors" '
+                         'and at most an integer "palette"')
+    return treedepth.Coloring(colors, palette=palette)
 
 
 def emit(payload, fmt, stream=None):
@@ -87,10 +111,7 @@ def cmd_decompose(args):
 
 def cmd_verify_ltd(args):
     g = load_graph(args.graph)
-    text = (sys.stdin.read() if args.coloring == "-"
-            else Path(args.coloring).read_text(encoding="utf-8"))
-    obj = json.loads(text)
-    coloring = treedepth.Coloring(obj["colors"], palette=obj.get("palette"))
+    coloring = load_coloring(args.coloring)
     outcome = decomposition.verify_ltd(g, args.p, coloring)
     payload = {
         "ok": outcome.ok,

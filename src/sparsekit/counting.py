@@ -9,7 +9,7 @@ labeled-embedding counts divided by the pattern's automorphism count.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .decomposition import ltd_coloring
 from .errors import BudgetExceededError, SizeLimitError, ValidationError
@@ -476,15 +476,15 @@ def verify_sunflower(g, f, k, sunflower, pattern_limit=8, product_budget=10_000)
             sub, _ = induced_subgraph(g, x)
             if not is_isomorphic(sub, target):
                 return False, f"a petal of family {i} does not induce its part"
-    product = 1
+    size = 1
     for fam in sunflower.families:
         if not fam:
             return False, "empty petal family"
-        product *= len(fam)
-    if product > product_budget:
+        size *= len(fam)
+    if size > product_budget:
         raise BudgetExceededError(
-            f"cross-product size {product} exceeds budget {product_budget}")
-    for tup in _product(sunflower.families):
+            f"cross-product size {size} exceeds budget {product_budget}")
+    for tup in product(*sunflower.families):
         union = list(sunflower.core)
         for x in tup:
             union.extend(x)
@@ -492,12 +492,3 @@ def verify_sunflower(g, f, k, sunflower, pattern_limit=8, product_budget=10_000)
         if not is_isomorphic(sub, f):
             return False, "a cross-product tuple does not induce the pattern"
     return True, None
-
-
-def _product(families):
-    if not families:
-        yield ()
-        return
-    for head in families[0]:
-        for rest in _product(families[1:]):
-            yield (head,) + rest

@@ -8,6 +8,7 @@ comes from the verifier, never from trusting the construction.
 """
 
 from itertools import combinations
+from math import comb
 
 from .errors import SizeLimitError, SparsekitError, ValidationError
 from .graphs import (
@@ -16,6 +17,7 @@ from .graphs import (
     Graph,
     Orientation,
     degeneracy_orientation,
+    peel_smallest_last,
 )
 from .treedepth import (
     Coloring,
@@ -167,21 +169,12 @@ def tf_augment(orientation, rounds, round_cap=12):
 def _orient_smallest_last(edges):
     """Orient an edge list by smallest-last peeling of the graph it forms;
     surviving neighbors point into the peeled vertex."""
-    if not edges:
-        return []
     adj = {}
     for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    alive = set(adj)
-    arcs = []
-    while alive:
-        v = min(alive, key=lambda x: (sum(1 for w in adj[x] if w in alive), x))
-        for w in adj[v]:
-            if w in alive:
-                arcs.append((w, v))
-        alive.remove(v)
-    return arcs
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    pos = {v: i for i, (v, _) in enumerate(peel_smallest_last(adj, adj))}
+    return [(u, v) if pos[u] > pos[v] else (v, u) for u, v in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +392,8 @@ def cluster_cover(g, t, component_limit=None):
                if not any(c < other for other in found)]
     maximal.sort(key=lambda c: tuple(sorted(c)))
     palette = len(colors_present)
-    bound = _binomial(palette, min(t, palette))
+    bound = comb(palette, min(t, palette))
     return ClusterCover(maximal, t, palette=palette, membership_bound=bound)
-
-
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):

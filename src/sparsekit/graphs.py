@@ -8,6 +8,7 @@ the treedepth and density modules).
 
 import math
 import re
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import ParseError, SizeLimitError, ValidationError
@@ -480,38 +481,44 @@ class Orientation:
         return [sorted(x) for x in inn]
 
 
+def peel_smallest_last(adj, verts):
+    """(vertex, live degree) pairs in smallest-last peeling order of the graph
+    induced on verts (nonnegative ids); adj[v] lists v's neighbours.
+
+    The heap holds degree * span + id, span above every id, so it pops the
+    minimum live degree, then the smallest id (an int compares faster than
+    a (degree, id) tuple). Each degree drop pushes a new key, which pops
+    before the vertex's older ones, so those are skipped.
+    """
+    alive = set(verts)
+    span = max(alive, default=0) + 1
+    deg = {v: sum(1 for w in adj[v] if w in alive) for v in alive}
+    heap = [d * span + v for v, d in deg.items()]
+    heapify(heap)
+    peeled = []
+    while heap:
+        d, v = divmod(heappop(heap), span)
+        if v in alive:
+            alive.remove(v)
+            peeled.append((v, d))
+            for w in adj[v]:
+                if w in alive:
+                    deg[w] -= 1
+                    heappush(heap, deg[w] * span + w)
+    return peeled
+
+
 def smallest_last_order(g, subset=None):
     """Smallest-last vertex order: repeatedly peel a minimum-degree vertex
-    (smallest id on ties) and place it last. Peeling order is the reverse.
-    """
-    verts = sorted(subset) if subset is not None else list(range(g.n))
-    alive = set(verts)
-    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in verts}
-    order = []
-    for _ in range(len(verts)):
-        v = min(alive, key=lambda x: (deg[x], x))
-        order.append(v)
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    order.reverse()
-    return order
+    (smallest id on ties) and place it last; the peeling order is the
+    reverse. O((n + m) log n) through peel_smallest_last."""
+    verts = range(g.n) if subset is None else subset
+    return [v for v, _ in peel_smallest_last(g.adj, verts)][::-1]
 
 
 def degeneracy(g):
     """Max over subgraphs of minimum degree, via the peeling order."""
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    best = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        best = max(best, deg[v])
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    return best
+    return max((d for _, d in peel_smallest_last(g.adj, range(g.n))), default=0)
 
 
 def degeneracy_orientation(g):

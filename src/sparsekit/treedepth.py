@@ -8,8 +8,6 @@ handles larger graphs when only td <= k for small k is in question, which
 is what the decomposition verifier needs.
 """
 
-import math
-
 from .errors import SizeLimitError, ValidationError
 from .graphs import component_masks, mask_vertices, smallest_last_order
 
@@ -30,24 +28,24 @@ class EliminationForest:
         parent = tuple(parent)
         n = len(parent)
         depth = [0] * n
-
-        def resolve(v, trail):
-            if depth[v]:
-                return depth[v]
-            if v in trail:
-                raise ValidationError("parent relation contains a cycle")
-            trail.add(v)
-            p = parent[v]
-            if p == NO_PARENT:
-                depth[v] = 1
-            else:
-                if not (0 <= p < n):
-                    raise ValidationError(f"parent {p} out of range")
-                depth[v] = resolve(p, trail) + 1
-            return depth[v]
-
         for v in range(n):
-            resolve(v, set())
+            # climb to a root or an already resolved ancestor, then number
+            # the chain on the way back down
+            chain = []
+            trail = set()
+            u = v
+            while u != NO_PARENT and not depth[u]:
+                if u in trail:
+                    raise ValidationError("parent relation contains a cycle")
+                trail.add(u)
+                chain.append(u)
+                u = parent[u]
+                if u != NO_PARENT and not (0 <= u < n):
+                    raise ValidationError(f"parent {u} out of range")
+            d = depth[u] if u != NO_PARENT else 0
+            for w in reversed(chain):
+                d += 1
+                depth[w] = d
         self.parent = parent
         self.roots = tuple(v for v in range(n) if parent[v] == NO_PARENT)
         self._depth = tuple(depth)
@@ -473,13 +471,12 @@ def _exists_any_coloring(g, k, accept):
 # DFS bounds
 
 def dfs_height_bounds(g):
-    """(lower, upper, witness): upper is the height of a DFS forest rooted at
-    the smallest id of each component, lower is ceil(log2(h+2)).
+    """(lower, upper, witness): upper is the height h of a DFS forest rooted
+    at the smallest id of each component, lower is ceil(log2(h+1)).
 
     A DFS tree is a valid elimination forest because non-tree edges are back
-    edges. Only td <= upper is a hard invariant; the log bound is reported
-    informationally and can exceed the true tree-depth when the DFS height
-    is far from minimal.
+    edges, so td <= upper. Its deepest root-to-leaf chain is a path on h
+    vertices in the graph, and td(P_h) = ceil(log2(h+1)), so lower <= td.
     """
     parent = [NO_PARENT] * g.n
     visited = [False] * g.n
@@ -502,5 +499,4 @@ def dfs_height_bounds(g):
                 stack.pop()
     forest = EliminationForest(parent)
     h = forest.height
-    lower = math.ceil(math.log2(h + 2)) if h else 0
-    return lower, h, forest
+    return h.bit_length(), h, forest  # bit_length(h) == ceil(log2(h+1))

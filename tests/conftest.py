@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from sparsekit import Graph
+from sparsekit import Graph, bounded_degree_graph, random_tree, triangulation
 from sparsekit.rng import Xoshiro256
 
 
@@ -76,6 +76,58 @@ def degeneracy_oracle(g):
 
 
 # ---------------------------------------------------------------------------
+# smallest-last peel oracles: the full-scan min(alive, ...) peels, one per
+# former caller, kept to check the shared heap peel against
+
+def smallest_last_order_oracle(g, subset=None):
+    verts = sorted(subset) if subset is not None else list(range(g.n))
+    alive = set(verts)
+    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in verts}
+    order = []
+    for _ in range(len(verts)):
+        v = min(alive, key=lambda x: (deg[x], x))
+        order.append(v)
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    order.reverse()
+    return order
+
+
+def degeneracy_peel_oracle(g):
+    alive = set(range(g.n))
+    deg = {v: g.degree(v) for v in alive}
+    best = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        best = max(best, deg[v])
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return best
+
+
+def orient_smallest_last_oracle(edges):
+    if not edges:
+        return []
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    alive = set(adj)
+    arcs = []
+    while alive:
+        v = min(alive, key=lambda x: (sum(1 for w in adj[x] if w in alive), x))
+        for w in adj[v]:
+            if w in alive:
+                arcs.append((w, v))
+        alive.remove(v)
+    return arcs
+
+
+# ---------------------------------------------------------------------------
 # isomorphism-class enumeration for the exhaustive small-graph catalog
 
 def all_graphs_up_to_iso(n):
@@ -103,4 +155,15 @@ def small_graph_sample():
         n = 1 + seed % 8
         density = 15 + (seed * 13) % 75
         sample.append(random_graph(n, density, seed=seed + 1000))
+    return sample
+
+
+@pytest.fixture(scope="session")
+def peel_sample(small_graph_sample):
+    """small_graph_sample plus seeded sparse graphs with n in the hundreds."""
+    sample = list(small_graph_sample)
+    for seed, n in enumerate((150, 300, 500), start=1):
+        sample.append(random_tree(n, seed=seed))
+        sample.append(triangulation(n, seed=seed))
+        sample.append(bounded_degree_graph(n, 4, seed=seed))
     return sample

@@ -92,11 +92,11 @@ def test_criterion_03_dfs_sandwich():
     corpus += [random_graph(1 + s % 8, 10 + (s * 37) % 85, seed=s + 9000)
                for s in range(200)]
     for g in corpus:
-        _, upper, forest = dfs_height_bounds(g)
+        lower, upper, forest = dfs_height_bounds(g)
         assert verify_elimination_forest(g, forest)
         td, _ = treedepth_exact(g)
-        assert td <= upper
-    _report(3, "tree-depth <= DFS height, zero violations")
+        assert lower <= td <= upper
+    _report(3, "ceil(log2(h+1)) <= tree-depth <= DFS height h, zero violations")
 
 
 def _ltd_corpus():

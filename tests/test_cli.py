@@ -189,3 +189,47 @@ def test_text_format():
 def test_missing_file_usage_error():
     code, _, err = run_cli("td", "/nonexistent/graph.el")
     assert code == 2
+
+
+# Bad inputs as (file contents written to bad.*, arguments); "{dir}" is a
+# directory and "{file}" the written file. Each must leave as one JSON
+# error line on stderr with exit 2 and nothing on stdout.
+BAD_INPUTS = [
+    ("coloring-truncated-json", b'{"colors": [0, 1\n',
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-not-json", b"0 1 0 1\n",
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-missing-colors", b'{"palette": 2}',
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-top-level-list", b"[0, 1, 0, 1]",
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-colors-string", b'{"colors": "0101"}',
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-colors-mixed", b'{"colors": [0, "1", 0, null]}',
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-palette-string", b'{"colors": [0, 1, 0, 1], "palette": "3"}',
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-deep-nesting", b"[" * 100000,
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-not-utf8", b'{"colors": [0, 1, 0, 1]}\xff',
+     ["verify-ltd", "-p", "2", "--coloring", "{file}", "named:P_4"]),
+    ("coloring-directory", b"",
+     ["verify-ltd", "-p", "2", "--coloring", "{dir}", "named:P_4"]),
+    ("graph-not-utf8", b"0 1\n1 \xff\xfe\n", ["td", "{file}"]),
+    ("graph-directory", b"", ["td", "{dir}"]),
+    ("graph-missing", b"", ["td", "{dir}/no_such_graph.el"]),
+]
+
+
+@pytest.mark.parametrize("contents,args", [x[1:] for x in BAD_INPUTS],
+                         ids=[x[0] for x in BAD_INPUTS])
+def test_bad_input_is_one_json_error_line(tmp_path, contents, args):
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(contents)
+    args = [a.format(file=bad, dir=tmp_path) for a in args]
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    check("error", json.loads(lines[0]))

@@ -11,12 +11,19 @@ from sparsekit import (
     random_tree,
     tf_augment,
     treedepth_exact,
+    triangulation,
     verify_cluster_cover,
     verify_ltd,
 )
-from sparsekit.decomposition import ClusterCover, LtdVerificationError
+from sparsekit.decomposition import (
+    ClusterCover,
+    LtdVerificationError,
+    _orient_smallest_last,
+)
 from sparsekit.errors import SizeLimitError
 from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation
+
+from conftest import orient_smallest_last_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +75,14 @@ def test_augment_monotone_and_rounds(small_graph_sample):
                 assert cur.arc_round[a] <= r
 
 
+def test_orient_smallest_last_matches_full_scan_peel(peel_sample):
+    for g in peel_sample:
+        # scatter the ids, as the endpoints of a round's fraternal edges are
+        edges = [(u * 37 % 1009, v * 37 % 1009) for u, v in g.edges]
+        assert sorted(_orient_smallest_last(edges)) == sorted(
+            orient_smallest_last_oracle(edges)), g
+
+
 def test_round_cap():
     o = degeneracy_orientation(named("C_6"))
     with pytest.raises(SizeLimitError):
@@ -92,6 +107,13 @@ def test_tree_p2_three_colors():
         d = ltd_coloring(tree, 2)
         assert d.verified
         assert d.coloring.palette <= 3
+
+
+def test_ltd_coloring_at_ten_thousand_vertices():
+    for g in (random_tree(10000, 1), triangulation(10000, 1)):
+        d = ltd_coloring(g, 2)
+        assert d.verified
+        assert verify_ltd(g, 2, d.coloring).ok
 
 
 def test_c4_p3_needs_three_colors():

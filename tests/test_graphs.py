@@ -18,9 +18,14 @@ from sparsekit import (
     serialize_edge_list,
     subdivide,
 )
-from sparsekit.graphs import INFINITY, catalog_names
+from sparsekit.graphs import INFINITY, catalog_names, smallest_last_order
 
-from conftest import degeneracy_oracle, random_graph
+from conftest import (
+    degeneracy_oracle,
+    degeneracy_peel_oracle,
+    random_graph,
+    smallest_last_order_oracle,
+)
 
 
 def test_parse_basic_path():
@@ -196,6 +201,24 @@ def test_degeneracy_matches_peeling_oracle():
         g = random_graph(n, 20 + (seed * 17) % 70, seed=seed)
         o = degeneracy_orientation(g)
         assert max(o.in_degrees(), default=0) == degeneracy_oracle(g), g.edges
+
+
+def test_smallest_last_order_matches_full_scan_peel(peel_sample):
+    for g in peel_sample:
+        assert smallest_last_order(g) == smallest_last_order_oracle(g), g
+        assert degeneracy(g) == degeneracy_peel_oracle(g), g
+        for subset in (range(0, g.n, 2), [v for v in reversed(range(g.n)) if v % 3]):
+            assert smallest_last_order(g, subset) == smallest_last_order_oracle(g, subset), g
+
+
+def test_smallest_last_order_ties_go_to_smallest_id():
+    # path 0-3-1-2: peel 0 (degree 1, before 2), then 2 (degree 1, before 3),
+    # then 1 and 3; the order is the peel reversed
+    g = Graph(4, [(0, 3), (3, 1), (1, 2)])
+    assert smallest_last_order(g) == [3, 1, 2, 0]
+    assert degeneracy(g) == 1
+    assert smallest_last_order(Graph(0, [])) == []
+    assert degeneracy(Graph(0, [])) == 0
 
 
 def test_orientation_is_acyclic():

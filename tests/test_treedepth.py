@@ -107,8 +107,28 @@ def test_forest_height_validation():
 
 
 def test_forest_cycle_detection():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="cycle"):
         EliminationForest([1, 0])
+    with pytest.raises(ValidationError, match="cycle"):
+        EliminationForest([-1, 2, 3, 1])
+    with pytest.raises(ValidationError, match="cycle"):
+        EliminationForest([0])
+
+
+def test_forest_parent_out_of_range():
+    with pytest.raises(ValidationError, match="parent 5 out of range"):
+        EliminationForest([-1, 0, 5])
+    with pytest.raises(ValidationError, match="parent -2 out of range"):
+        EliminationForest([1, -2])
+
+
+def test_forest_long_chain_listed_leaf_first():
+    # vertex i hangs below i + 1, so resolving vertex 0 climbs all 3000 levels
+    n = 3000
+    forest = EliminationForest([i + 1 for i in range(n - 1)] + [-1])
+    assert forest.height == n
+    assert forest.roots == (n - 1,)
+    assert forest.depth_of(0) == n and forest.depth_of(n - 1) == 1
 
 
 def test_centered_coloring_from_witness():
@@ -168,9 +188,9 @@ def test_td2_td3_equalities_small():
 def test_dfs_bounds_path_from_end():
     lo, hi, forest = dfs_height_bounds(named("P_7"))
     assert hi == 7  # DFS from an end walks the whole path
-    assert lo == math.ceil(math.log2(7 + 2)) == 4
+    assert lo == math.ceil(math.log2(7 + 1)) == 3
     td, _ = treedepth_exact(named("P_7"))
-    assert td == 3 <= hi  # only td <= h is asserted as a hard bound
+    assert lo <= td == 3 <= hi
 
 
 def test_dfs_bounds_k1():
@@ -191,10 +211,10 @@ def test_dfs_bounds_complete():
 
 def test_dfs_upper_bound_holds_on_sample(small_graph_sample):
     for g in small_graph_sample[:60]:
-        _, hi, forest = dfs_height_bounds(g)
+        lo, hi, forest = dfs_height_bounds(g)
         assert verify_elimination_forest(g, forest)
         td, _ = treedepth_exact(g)
-        assert td <= hi
+        assert lo <= td <= hi
 
 
 def test_treedepth_at_most_agrees_with_exact(small_graph_sample):
