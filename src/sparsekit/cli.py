@@ -123,20 +123,32 @@ def cmd_verify_ltd(args):
     return (EXIT_OK if outcome.ok else EXIT_FAILED), payload
 
 
+# `count --method auto` enumerates when the anchor-tree bound on the maps the
+# enumeration can reach is at most this many per host vertex. Enumeration takes
+# about 1-2 us a map, the decomposition route 0.05 ms (stars) to 10 ms
+# (triangulations) a host vertex, so the measured crossover lies at 700-1700
+# maps a vertex on K_2,b hosts and below 100 on stars; CHANGES.md has the
+# calibration.
+ENUMERATION_MAPS_PER_VERTEX = 1000
+
+
 def cmd_count(args):
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     query = counting.CountQuery(pattern, host, args.mode)
     method = args.method
     if method == "auto":
-        small = host.n <= 20 and pattern.n <= 5
-        method = "bruteforce" if small else "ltd"
+        cheap = host.n <= 20 or (counting.anchor_tree_bound(pattern, host)
+                                 <= ENUMERATION_MAPS_PER_VERTEX * host.n)
+        method = "bruteforce" if cheap and pattern.n <= 5 else "ltd"
     if method == "ltd":
         dec = decomposition.ltd_coloring(host, pattern.n)
         value = counting.count_ltd(query, decomposition=dec)
         palette = dec.coloring.palette
     else:
-        value = counting.count_bruteforce(query)
+        # the host limit belongs to the oracle role; auto has bounded the work
+        limits = {"host_limit": host.n} if args.method == "auto" else {}
+        value = counting.count_bruteforce(query, **limits)
         palette = None
     return EXIT_OK, {
         "count": value,
@@ -293,8 +305,6 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for commands with implicit randomness")
     common.add_argument("--exact-limit", type=int, default=None,
                         help="override the exact-computation size limit")
     common.add_argument("--budget", type=int, default=None,

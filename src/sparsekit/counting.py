@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .decomposition import ltd_coloring
 from .errors import BudgetExceededError, SizeLimitError, ValidationError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, is_connected_mask, subset_components
 from .treedepth import NO_PARENT, treedepth_at_most
 
 MODE_SUBGRAPH = "subgraph"
@@ -59,6 +59,33 @@ def _pattern_order(pattern):
             order.append(w)
             anchor.append(u)
     return order, anchor
+
+
+def anchor_tree_bound(pattern, host):
+    """Upper bound on count_embeddings(pattern, host), computed without search.
+
+    Counts the homomorphisms of the anchor forest (each pattern vertex joined
+    to its anchor in _pattern_order) into the host that send every pattern
+    vertex to a host vertex of at least its degree. Each complete map the
+    enumeration reaches is one of them: it keeps the anchor edges and applies
+    the same degree filter. A tree DP over host adjacency, O(|H| * (n + m)).
+    """
+    order, anchor = _pattern_order(pattern)
+    ways = [[int(host.degree(t) >= pattern.degree(v)) for t in range(host.n)]
+            for v in range(pattern.n)]
+    total = 1
+    # children follow their anchor in the order, so a reverse sweep finishes
+    # each vertex's table before folding it into its anchor's
+    for v, a in zip(reversed(order), reversed(anchor)):
+        below = ways[v]
+        if a is None:
+            total *= sum(below)
+            continue
+        up = ways[a]
+        for t in range(host.n):
+            if up[t]:
+                up[t] *= sum(below[w] for w in host.adj[t])
+    return total
 
 
 def count_embeddings(pattern, host, induced=False):
@@ -188,27 +215,13 @@ def count_ltd(query, decomposition=None):
         classes.setdefault(c, []).append(v)
     present = sorted(classes)
     aut = automorphism_count(h)
-    if h.n >= 2 and _is_connected_graph(h):
+    if h.n >= 2 and is_connected_mask(h.adj_mask, (1 << h.n) - 1):
         total = _count_connected_pattern(g, h, classes, colors, induced)
     else:
         total = _count_general_pattern(g, h, classes, present, colors, induced)
     if total % aut:
         raise AssertionError("labeled count not divisible by automorphism count")
     return total // aut
-
-
-def _is_connected_graph(g):
-    if g.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
 
 
 def _color_adjacency(g, colors):
@@ -253,7 +266,7 @@ def _count_connected_pattern(g, h, classes, colors, induced):
         if len(vertices) < h.n:
             continue
         sorted_subset = tuple(sorted(subset))
-        for comp in _subset_components_local(g, vertices):
+        for comp in subset_components(g, vertices):
             if len(comp) < h.n:
                 continue
             spectrum = frozenset(colors[v] for v in comp)
@@ -280,28 +293,6 @@ def _count_general_pattern(g, h, classes, present, colors, induced):
             if total > _COUNT_LIMIT:
                 raise SizeLimitError("count exceeds 64-bit range")
     return total
-
-
-def _subset_components_local(g, vertices):
-    vset = set(vertices)
-    comps = []
-    seen = set()
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
 
 
 def _count_exact_colorset(g, h, vertices, subset, colors, induced):

@@ -18,6 +18,7 @@ from .graphs import (
     Orientation,
     degeneracy_orientation,
     peel_smallest_last,
+    subset_components,
 )
 from .treedepth import (
     Coloring,
@@ -217,7 +218,7 @@ def verify_ltd(g, p, coloring, component_limit=None):
             vertices.extend(classes[c])
         vertices.sort()
         budget = len(subset)
-        comps = _subset_components(g, vertices)
+        comps = subset_components(g, vertices)
         for comp in comps:
             if len(comp) <= budget:
                 continue
@@ -228,28 +229,6 @@ def verify_ltd(g, p, coloring, component_limit=None):
                 return LtdVerification(False, counterexample=subset,
                                        indeterminate=indeterminate)
     return LtdVerification(True, indeterminate=indeterminate)
-
-
-def _subset_components(g, vertices):
-    vset = set(vertices)
-    comps = []
-    seen = set()
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(tuple(comp))
-    return comps
 
 
 def _component_td_at_most(g, comp, budget, memo):
@@ -386,7 +365,7 @@ def cluster_cover(g, t, component_limit=None):
             for c in subset:
                 vertices.extend(classes[c])
             vertices.sort()
-            for comp in _subset_components(g, vertices):
+            for comp in subset_components(g, vertices):
                 found.add(frozenset(comp))
     maximal = [c for c in found
                if not any(c < other for other in found)]
@@ -410,7 +389,7 @@ def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):
         raise SizeLimitError("verify_cluster_cover enumeration budget exceeded")
     cluster_sets = [frozenset(c) for c in cover.clusters]
     for cluster in cover.clusters:
-        comps = _subset_components(g, list(cluster))
+        comps = subset_components(g, list(cluster))
         if len(comps) != 1:
             return False, ("cluster-td", list(cluster))
         sub, _ = _induced(g, list(cluster))

@@ -238,28 +238,41 @@ class _Dinic:
                         queue.append(v)
             if level[t] < 0:
                 return flow
-            it = [0] * self.size
+            flow += self._blocking_flow(s, t, level)
 
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    ei = self.head[u][it[u]]
-                    v = self.to[ei]
-                    if self.cap[ei] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[ei]))
-                        if got:
-                            self.cap[ei] -= got
-                            self.cap[ei ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, float("inf"))
-                if not pushed:
-                    break
-                flow += pushed
+    def _blocking_flow(self, s, t, level):
+        """Augment along level-graph paths from s until none is left, one
+        path at a time; each vertex resumes its edge scan where it stopped.
+        The path is an explicit stack of edge ids, so depth costs no
+        recursion."""
+        head, to, cap = self.head, self.to, self.cap
+        it = [0] * self.size
+        path = []
+        total = 0
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[ei] for ei in path)
+                for ei in path:
+                    cap[ei] -= pushed
+                    cap[ei ^ 1] += pushed
+                total += pushed
+                path.clear()
+                u = s
+                continue
+            edges, i, nxt = head[u], it[u], level[u] + 1
+            while i < len(edges) and not (cap[edges[i]] > 0 and level[to[edges[i]]] == nxt):
+                i += 1
+            it[u] = i
+            if i < len(edges):
+                path.append(edges[i])
+                u = to[edges[i]]
+            elif path:
+                # dead end: the edge into u is spent for this phase
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return total
 
     def reachable(self, s):
         seen = {s}

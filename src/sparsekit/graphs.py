@@ -397,6 +397,27 @@ def connected_components(g):
     return [mask_vertices(c) for c in component_masks(g.adj_mask, (1 << g.n) - 1)]
 
 
+def subset_components(g, vertices):
+    """Components of G[vertices] as sorted tuples, ordered by the position of
+    their first member in `vertices` (by smallest member for sorted input)."""
+    adj = g.adj
+    unseen = set(vertices)
+    comps = []
+    for s in vertices:
+        if s not in unseen:
+            continue
+        unseen.remove(s)
+        comp = [s]
+        for u in comp:  # breadth-first: comp grows while it is scanned
+            for w in adj[u]:
+                if w in unseen:
+                    unseen.remove(w)
+                    comp.append(w)
+        comp.sort()
+        comps.append(tuple(comp))
+    return comps
+
+
 def girth(g):
     """Length of a shortest cycle, or INFINITY for forests."""
     best = INFINITY

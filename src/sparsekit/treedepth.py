@@ -9,7 +9,12 @@ is what the decomposition verifier needs.
 """
 
 from .errors import SizeLimitError, ValidationError
-from .graphs import component_masks, mask_vertices, smallest_last_order
+from .graphs import (
+    component_masks,
+    mask_vertices,
+    smallest_last_order,
+    subset_components,
+)
 
 NO_PARENT = -1
 
@@ -232,15 +237,15 @@ def treedepth_at_most(g, k, _memo=None):
         known = memo.get(key)
         if known is False:
             return False
-        vset = set(vertices)
         if known is not None and known is not True:
             root = known
             parent[root] = par
             rest = [v for v in vertices if v != root]
             return all(
                 solve(comp, budget - 1, root)
-                for comp in _components(g, rest, vset - {root})
+                for comp in subset_components(g, rest)
             )
+        vset = set(vertices)
         dfs_parent, depth = _dfs_tree(g, vertices, vset)
         if depth <= budget:
             # a DFS tree is a valid elimination forest (only back edges)
@@ -257,7 +262,7 @@ def treedepth_at_most(g, k, _memo=None):
         inside_deg = {v: sum(1 for w in g.adj[v] if w in vset) for v in vertices}
         for root in sorted(vertices, key=lambda v: (-inside_deg[v], v)):
             rest = [v for v in vertices if v != root]
-            comps = _components(g, rest, vset - {root})
+            comps = subset_components(g, rest)
             if all(solve(comp, budget - 1, root) for comp in comps):
                 parent[root] = par
                 memo[key] = root
@@ -265,10 +270,9 @@ def treedepth_at_most(g, k, _memo=None):
         memo[key] = False
         return False
 
-    all_vertices = list(range(g.n))
     ok = all(
         solve(comp, k, NO_PARENT)
-        for comp in _components(g, all_vertices, set(all_vertices))
+        for comp in subset_components(g, range(g.n))
     )
     return parent if ok else None
 
@@ -296,27 +300,6 @@ def _dfs_tree(g, vertices, vset):
         if not advanced:
             stack.pop()
     return par, height
-
-
-def _components(g, vertices, vset):
-    comps = []
-    seen = set()
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comps.append(tuple(comp))
-    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,60 @@ def test_count_petersen_triangles():
     assert json.loads(out)["count"] == 0
 
 
+# (host spec, pattern, mode, route `count --method auto` takes)
+AUTO_ROUTES = [
+    # bounded degree above the oracle's 60-vertex limit: enumeration
+    ("random_tree(100,1)", "P_4", "subgraph", "bruteforce"),
+    ("random_tree(100,1)", "K_1,3", "induced", "bruteforce"),
+    ("bounded_degree(80,4,2)", "C_4", "subgraph", "bruteforce"),
+    # hubs: the copies of K_1,3 explode, the decomposition stays small
+    ("named:star_60", "K_1,3", "subgraph", "ltd"),
+    ("named:K_2,60", "K_1,3", "induced", "ltd"),
+    ("named:K_2,60", "P_4", "subgraph", "bruteforce"),
+    # hosts of at most 20 vertices enumerate whatever the bound
+    ("named:Petersen", "K_3", "subgraph", "bruteforce"),
+    ("named:K_8", "K_1,3", "induced", "bruteforce"),
+    ("named:K_3,16", "K_1,3", "subgraph", "bruteforce"),
+    ("named:grid_3x4", "P_4", "induced", "bruteforce"),
+    # patterns above the oracle's 5 vertices always decompose
+    ("named:C_12", "P_6", "subgraph", "ltd"),
+]
+
+
+@pytest.mark.parametrize("host_spec,pattern,mode,route", AUTO_ROUTES,
+                         ids=[f"{h}-{p}-{m}" for h, p, m, _ in AUTO_ROUTES])
+def test_count_auto_route(host_spec, pattern, mode, route):
+    from sparsekit import CountQuery, count_ltd, ltd_coloring
+    from sparsekit.cli import load_graph
+
+    code, out, err = run_cli("count", "--pattern", "named:" + pattern,
+                             "--mode", mode, host_spec)
+    assert code == 0, err
+    host, h = load_graph(host_spec), named(pattern)
+    palette = ltd_coloring(host, h.n).coloring.palette if route == "ltd" else None
+    assert json.loads(out) == {
+        "count": count_ltd(CountQuery(h, host, mode)),
+        "method": route,
+        "palette": palette,
+        "mode": mode,
+        "pattern": "named:" + pattern,
+    }
+
+
+def test_count_bruteforce_keeps_host_limit():
+    code, out, err = run_cli("count", "--method", "bruteforce", "--pattern",
+                             "named:P_3", "random_tree(61,1)")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "SizeLimitError"
+
+
+def test_density_nabla0_long_path():
+    code, out, err = run_cli("density", "--measure", "nabla0", "named:P_1500")
+    assert code == 0, err
+    assert out.count("\n") == 1
+    assert json.loads(out)["value"] == "1499/1500"
+
+
 def test_refusal_exit_code():
     code, out, err = run_cli("td", "--exact-limit", "5", "named:K_8")
     assert code == 3 and out == ""

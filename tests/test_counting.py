@@ -13,7 +13,12 @@ from sparsekit import (
     named,
     verify_sunflower,
 )
-from sparsekit.counting import automorphism_count, count_embeddings, is_isomorphic
+from sparsekit.counting import (
+    anchor_tree_bound,
+    automorphism_count,
+    count_embeddings,
+    is_isomorphic,
+)
 
 from conftest import random_graph
 
@@ -31,6 +36,23 @@ def test_automorphism_counts():
     assert automorphism_count(named("C_4")) == 8
     assert automorphism_count(named("K_1,3")) == 6
     assert automorphism_count(named("C_5")) == 10
+
+
+def test_anchor_tree_bound_caps_embeddings(small_graph_sample):
+    patterns = [named(p) for p in PATTERNS + ["P_5", "K_2,3", "K_4"]]
+    patterns.append(Graph(4, [(0, 1), (2, 3)]))
+    for g in small_graph_sample:
+        for h in patterns:
+            assert anchor_tree_bound(h, g) >= count_embeddings(h, g), (h.edges, g.edges)
+
+
+def test_anchor_tree_bound_values():
+    # only a vertex of degree >= 2 can take the middle of P_3
+    assert anchor_tree_bound(named("P_3"), named("star_6")) == 36
+    assert anchor_tree_bound(named("K_1,3"), named("K_2,5")) == 2 * 5 ** 3
+    assert anchor_tree_bound(named("P_4"), named("star_6")) == 0
+    # the components of a disconnected pattern multiply
+    assert anchor_tree_bound(Graph(4, [(0, 1), (2, 3)]), named("C_5")) == 10 * 10
 
 
 def test_edge_count_is_m():

@@ -37,6 +37,13 @@ def test_nabla0_petersen():
     assert len(witness) == 10
 
 
+def test_nabla0_long_path():
+    # augmenting paths thousands of edges long need no recursion
+    value, witness = nabla0(named("P_3000"))
+    assert value == Fraction(2999, 3000)
+    assert witness == list(range(3000))
+
+
 def test_nabla0_flow_matches_bruteforce():
     for seed in range(50):
         n = 2 + seed % 10

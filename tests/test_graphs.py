@@ -18,7 +18,12 @@ from sparsekit import (
     serialize_edge_list,
     subdivide,
 )
-from sparsekit.graphs import INFINITY, catalog_names, smallest_last_order
+from sparsekit.graphs import (
+    INFINITY,
+    catalog_names,
+    smallest_last_order,
+    subset_components,
+)
 
 from conftest import (
     degeneracy_oracle,
@@ -176,6 +181,18 @@ def test_components():
     assert connected_components(g) == [[0, 1, 2], [3, 4]]
     assert len(connected_components(Graph(4, []))) == 4
     assert len(connected_components(named("C_6"))) == 1
+
+
+def test_subset_components_match_induced_subgraph(small_graph_sample):
+    for g in small_graph_sample:
+        for keep in (range(g.n), range(0, g.n, 2), range(1, g.n, 3)):
+            vertices = list(keep)
+            sub, back = induced_subgraph(g, vertices)
+            want = [tuple(back[v] for v in comp) for comp in connected_components(sub)]
+            assert subset_components(g, vertices) == want
+    # components come in the order of their first member in the input
+    g = Graph(5, [(0, 4), (1, 2)])
+    assert subset_components(g, [2, 4, 1, 0]) == [(1, 2), (0, 4)]
 
 
 def test_degeneracy_orientation_triangle():
