@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .decomposition import ltd_coloring
 from .errors import BudgetExceededError, SizeLimitError, ValidationError
-from .graphs import Graph, induced_subgraph, is_connected_mask, subset_components
+from .graphs import Graph, colorset_components, induced_subgraph, is_connected_mask
 from .treedepth import NO_PARENT, treedepth_at_most
 
 MODE_SUBGRAPH = "subgraph"
@@ -210,76 +210,33 @@ def count_ltd(query, decomposition=None):
     elif decomposition.p < h.n:
         raise ValidationError("decomposition parameter smaller than the pattern order")
     colors = decomposition.coloring.assignment
-    classes = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    present = sorted(classes)
     aut = automorphism_count(h)
     if h.n >= 2 and is_connected_mask(h.adj_mask, (1 << h.n) - 1):
-        total = _count_connected_pattern(g, h, classes, colors, induced)
+        total = _count_connected_pattern(g, h, colors, induced)
     else:
-        total = _count_general_pattern(g, h, classes, present, colors, induced)
+        total = _count_general_pattern(g, h, colors, induced)
     if total % aut:
         raise AssertionError("labeled count not divisible by automorphism count")
     return total // aut
 
 
-def _color_adjacency(g, colors):
-    adj = {}
-    for u, v in g.edges:
-        cu, cv = colors[u], colors[v]
-        if cu != cv:
-            adj.setdefault(cu, set()).add(cv)
-            adj.setdefault(cv, set()).add(cu)
-    return {c: sorted(nbrs) for c, nbrs in adj.items()}
-
-
-def _connected_color_subsets(adj, nodes, max_size):
-    """Connected subsets of the color graph of size 2..max_size, each once
-    (ESU growth anchored at the smallest color)."""
-
-    def grow(subset, ext, closed, anchor):
-        if len(subset) >= 2:
-            yield subset
-        if len(subset) == max_size:
-            return
-        ext = list(ext)
-        while ext:
-            c = ext.pop(0)
-            new = [x for x in adj.get(c, ()) if x > anchor and x not in closed]
-            yield from grow(subset | {c}, ext + new, closed | {c} | set(new), anchor)
-
-    for c in nodes:
-        ext0 = [x for x in adj.get(c, ()) if x > c]
-        yield from grow(frozenset((c,)), ext0, {c} | set(ext0), c)
-
-
-def _count_connected_pattern(g, h, classes, colors, induced):
-    adj = _color_adjacency(g, colors)
+def _count_connected_pattern(g, h, colors, induced):
     total = 0
-    for subset in _connected_color_subsets(adj, sorted(classes), h.n):
-        want = frozenset(subset)
-        vertices = []
-        for c in subset:
-            vertices.extend(classes[c])
-        vertices.sort()
-        if len(vertices) < h.n:
-            continue
-        sorted_subset = tuple(sorted(subset))
-        for comp in subset_components(g, vertices):
+    for subset, comps in colorset_components(g, colors, h.n):
+        for comp in comps:
             if len(comp) < h.n:
                 continue
-            spectrum = frozenset(colors[v] for v in comp)
-            if spectrum != want:
-                continue
-            total += _count_exact_colorset(g, h, list(comp), sorted_subset,
-                                           colors, induced)
+            total += _count_exact_colorset(g, h, comp, subset, colors, induced)
             if total > _COUNT_LIMIT:
                 raise SizeLimitError("count exceeds 64-bit range")
     return total
 
 
-def _count_general_pattern(g, h, classes, present, colors, induced):
+def _count_general_pattern(g, h, colors, induced):
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    present = sorted(classes)
     total = 0
     for size in range(1, min(h.n, len(present)) + 1):
         for subset in combinations(present, size):

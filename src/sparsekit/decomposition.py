@@ -5,8 +5,21 @@ cluster covers.
 The augmentation schedule starts at zero rounds and escalates until the
 output verifies, so palettes stay as small as the graph allows; correctness
 comes from the verifier, never from trusting the construction.
+
+The verifier decides a coloring from the connected pieces that carry each
+color set, not from every set. The coloring holds (every set I of at most p
+colors induces td <= |I|) exactly when no edge is monochromatic (the sets
+of size 1) and, for every I of 2..p colors connected in the color graph,
+each component C of G[I] that uses all colors of I has td <= |I|. C needs
+no test when |C| <= |I|, or when some color c occurs exactly once in C. By
+induction on |I|, whatever order the sets are checked in: a component of
+G[I] with a smaller spectrum J is a component of G[J], so td <= |J|; and
+deleting the one vertex of color c from C leaves components of G[I - c],
+each of td <= |I| - 1, so td(C) <= |I|. Only the components left need the
+exact test.
 """
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -14,9 +27,11 @@ from .errors import SizeLimitError, SparsekitError, ValidationError
 from .graphs import (
     ARC_FRATERNAL,
     ARC_TRANSITIVE,
-    Graph,
     Orientation,
+    colorset_components,
+    connected_subsets,
     degeneracy_orientation,
+    induced_subgraph,
     peel_smallest_last,
     subset_components,
 )
@@ -59,19 +74,16 @@ class LtdDecomposition:
 
 
 class LtdVerification:
-    """Verifier outcome: truthy iff every checked subset passed.
+    """Verifier outcome: truthy iff every color subset passed.
 
-    counterexample is the lexicographically smallest violating color set;
-    indeterminate lists subsets whose exact check was refused by the size
-    guard (distinct from failure).
+    counterexample is the lexicographically smallest violating color set.
     """
 
-    __slots__ = ("ok", "counterexample", "indeterminate")
+    __slots__ = ("ok", "counterexample")
 
-    def __init__(self, ok, counterexample=None, indeterminate=()):
+    def __init__(self, ok, counterexample=None):
         self.ok = ok
         self.counterexample = counterexample
-        self.indeterminate = tuple(indeterminate)
 
     def __bool__(self):
         return self.ok
@@ -195,40 +207,54 @@ def _color_subsets_lex(colors_present, p):
     yield from extend((), 0)
 
 
-def verify_ltd(g, p, coloring, component_limit=None):
+def verify_ltd(g, p, coloring):
     """Check that every set I of at most p colors induces td <= |I|.
 
     Returns an LtdVerification; its counterexample is the lexicographically
-    smallest violating color set. Components larger than component_limit
-    (when given) are reported as indeterminate rather than guessed.
+    smallest violating color set. The yes/no answer comes from the connected
+    color sets alone (see the module docstring): a component of G[I] is
+    tested exactly only when it uses every color of I, has more than |I|
+    vertices and no color occurring once in it. Only a failing coloring is
+    rescanned, set by set in lexicographic order, for its counterexample.
     """
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
     if p < 1:
         raise ValidationError("p must be >= 1")
+    memo = {}
+    if _ltd_holds(g, p, coloring.assignment, memo):
+        return LtdVerification(True)
+    return LtdVerification(False, counterexample=_first_violation(g, p, coloring, memo))
+
+
+def _ltd_holds(g, p, colors, memo):
+    if any(colors[u] == colors[v] for u, v in g.edges):
+        return False
+    for subset, comps in colorset_components(g, colors, p):
+        budget = len(subset)
+        for comp in comps:
+            if len(comp) <= budget or 1 in Counter(colors[v] for v in comp).values():
+                continue
+            if not _component_td_at_most(g, tuple(sorted(comp)), budget, memo):
+                return False
+    return True
+
+
+def _first_violation(g, p, coloring, memo):
+    """The lexicographically smallest color set inducing td above its size."""
     classes = {}
     for v, c in enumerate(coloring.assignment):
         classes.setdefault(c, []).append(v)
-    colors_present = sorted(classes)
-    memo = {}
-    indeterminate = []
-    for subset in _color_subsets_lex(colors_present, p):
+    for subset in _color_subsets_lex(sorted(classes), p):
         vertices = []
         for c in subset:
             vertices.extend(classes[c])
         vertices.sort()
         budget = len(subset)
-        comps = subset_components(g, vertices)
-        for comp in comps:
-            if len(comp) <= budget:
-                continue
-            if component_limit is not None and len(comp) > component_limit:
-                indeterminate.append(subset)
-                break
-            if not _component_td_at_most(g, comp, budget, memo):
-                return LtdVerification(False, counterexample=subset,
-                                       indeterminate=indeterminate)
-    return LtdVerification(True, indeterminate=indeterminate)
+        for comp in subset_components(g, vertices):
+            if len(comp) > budget and not _component_td_at_most(g, comp, budget, memo):
+                return subset
+    raise AssertionError("failing coloring without a violating color set")
 
 
 def _component_td_at_most(g, comp, budget, memo):
@@ -237,28 +263,16 @@ def _component_td_at_most(g, comp, budget, memo):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    sub, _ = _induced(g, comp)
+    sub, _ = induced_subgraph(g, comp)
     ok = treedepth_at_most(sub, budget) is not None
     memo[key] = ok
     return ok
 
 
-def _induced(g, vertices):
-    pos = {v: i for i, v in enumerate(vertices)}
-    keep = set(vertices)
-    edges = []
-    for v in vertices:
-        for w in g.adj[v]:
-            if w in keep and v < w:
-                edges.append((pos[v], pos[w]))
-    return Graph(len(vertices), edges), list(vertices)
-
-
 # ---------------------------------------------------------------------------
 # construction
 
-def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8,
-                 component_limit=None):
+def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8):
     """Low tree-depth decomposition with parameter p.
 
     Seeds a degeneracy orientation, augments it round by round (0 up to
@@ -280,7 +294,7 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8,
             orientation = tf_augment(orientation, 1,
                                      round_cap=max(max_rounds, 12))
         coloring = greedy_smallest_last_coloring(orientation.underlying_graph())
-        outcome = verify_ltd(g, p, coloring, component_limit=component_limit)
+        outcome = verify_ltd(g, p, coloring)
         if outcome:
             return LtdDecomposition(coloring, p, rounds_used=r, verified=True)
         last = outcome
@@ -348,29 +362,21 @@ def _chi_p_search(g, p):
 # ---------------------------------------------------------------------------
 # cluster covers
 
-def cluster_cover(g, t, component_limit=None):
+def cluster_cover(g, t):
     """Tree-depth cluster cover from a verified decomposition: clusters are
     the components of every <= t-color-subset-induced subgraph, with
-    clusters strictly inside another dropped."""
-    decomposition = ltd_coloring(g, t, component_limit=component_limit)
-    coloring = decomposition.coloring
-    classes = {}
-    for v, c in enumerate(coloring.assignment):
-        classes.setdefault(c, []).append(v)
-    colors_present = sorted(classes)
-    found = set()
-    for size in range(1, t + 1):
-        for subset in combinations(colors_present, size):
-            vertices = []
-            for c in subset:
-                vertices.extend(classes[c])
-            vertices.sort()
-            for comp in subset_components(g, vertices):
-                found.add(frozenset(comp))
+    clusters strictly inside another dropped. A component of G[I] is one of
+    G[J] for its spectrum J, and the coloring is proper, so the components
+    using all colors of connected color sets, and single vertices, are all
+    of them."""
+    colors = ltd_coloring(g, t).coloring.assignment
+    found = {frozenset((v,)) for v in range(g.n)}
+    for _, comps in colorset_components(g, colors, t):
+        found.update(frozenset(comp) for comp in comps)
     maximal = [c for c in found
                if not any(c < other for other in found)]
     maximal.sort(key=lambda c: tuple(sorted(c)))
-    palette = len(colors_present)
+    palette = len(set(colors))
     bound = comb(palette, min(t, palette))
     return ClusterCover(maximal, t, palette=palette, membership_bound=bound)
 
@@ -392,14 +398,14 @@ def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):
         comps = subset_components(g, list(cluster))
         if len(comps) != 1:
             return False, ("cluster-td", list(cluster))
-        sub, _ = _induced(g, list(cluster))
+        sub, _ = induced_subgraph(g, cluster)
         if treedepth_at_most(sub, t) is None:
             return False, ("cluster-td", list(cluster))
     by_vertex = {}
     for i, cs in enumerate(cluster_sets):
         for v in cs:
             by_vertex.setdefault(v, []).append(i)
-    for subset in _connected_subsets_upto(g, t):
+    for subset in connected_subsets(g.adj, range(g.n), t):
         candidates = by_vertex.get(min(subset), [])
         if not any(subset <= cluster_sets[i] for i in candidates):
             return False, ("uncovered", sorted(subset))
@@ -408,26 +414,3 @@ def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):
             if len(by_vertex.get(v, [])) > cover.membership_bound:
                 return False, ("membership", v)
     return True, None
-
-
-def _connected_subsets_upto(g, t):
-    """All connected vertex sets of size <= t, each yielded exactly once
-    (ESU-style growth anchored at the smallest member: candidates must
-    exceed the anchor, and vertices already adjacent to the subset are
-    never re-proposed)."""
-    for v in range(g.n):
-        ext = [w for w in g.adj[v] if w > v]
-        closed = {v} | set(g.adj[v])
-        yield from _esu_grow(g, frozenset((v,)), ext, closed, v, t)
-
-
-def _esu_grow(g, subset, ext, closed, anchor, t):
-    yield subset
-    if len(subset) == t:
-        return
-    ext = list(ext)
-    while ext:
-        w = ext.pop(0)
-        new = [u for u in g.adj[w] if u > anchor and u not in closed]
-        yield from _esu_grow(g, subset | {w}, ext + new,
-                             closed | {w} | set(new), anchor, t)

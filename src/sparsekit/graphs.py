@@ -362,8 +362,9 @@ def induced_subgraph(g, vertices):
         if not (0 <= v < g.n):
             raise ValidationError(f"vertex {v} out of range")
     pos = {v: i for i, v in enumerate(vs)}
-    keep = set(vs)
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in keep and v in keep]
+    adj = g.adj
+    edges = [(i, pos[w]) for i, v in enumerate(vs) for w in adj[v]
+             if v < w and w in pos]
     labels = tuple(g.labels[v] for v in vs) if g.labels is not None else None
     return Graph(len(vs), edges, labels=labels), vs
 
@@ -416,6 +417,65 @@ def subset_components(g, vertices):
         comp.sort()
         comps.append(tuple(comp))
     return comps
+
+
+def connected_subsets(adj, nodes, max_size):
+    """Connected sets of 1..max_size vertices, each yielded once as a
+    frozenset; adj[v] lists v's neighbours, nodes the vertices to use.
+    ESU growth anchored at the smallest member: only vertices above the
+    anchor join, and one adjacent to the set is never proposed again."""
+
+    def grow(subset, ext, closed, anchor):
+        yield subset
+        if len(subset) == max_size:
+            return
+        for i, w in enumerate(ext):
+            new = [u for u in adj[w] if u > anchor and u not in closed]
+            yield from grow(subset | {w}, ext[i + 1:] + new,
+                            closed | {w} | set(new), anchor)
+
+    for v in nodes:
+        ext = [w for w in adj[v] if w > v]
+        yield from grow(frozenset((v,)), ext, {v} | set(ext), v)
+
+
+def colorset_components(g, colors, max_size):
+    """(color set as a sorted tuple, components) for each set of 2..max_size
+    colors connected in the color graph (colors adjacent when an edge joins
+    them) whose G[set] has components using every color of the set; those
+    components, as vertex lists, are grown only from the set's smallest
+    color class, which each of them meets."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    color_adj = {c: set() for c in classes}
+    for u, v in g.edges:
+        cu, cv = colors[u], colors[v]
+        if cu != cv:
+            color_adj[cu].add(cv)
+            color_adj[cv].add(cu)
+    color_adj = {c: sorted(nbrs) for c, nbrs in color_adj.items()}
+    adj = g.adj
+    for subset in connected_subsets(color_adj, sorted(classes), max_size):
+        size = len(subset)
+        if size < 2:
+            continue
+        seen = set()
+        comps = []
+        for s in classes[min(subset, key=lambda c: len(classes[c]))]:
+            if s in seen:
+                continue
+            seen.add(s)
+            comp = [s]
+            for u in comp:  # breadth-first: comp grows while it is scanned
+                for w in adj[u]:
+                    if colors[w] in subset and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            if len(comp) >= size and len({colors[v] for v in comp}) == size:
+                comps.append(comp)
+        if comps:
+            yield tuple(sorted(subset)), comps
 
 
 def girth(g):

@@ -10,7 +10,9 @@ from itertools import combinations, permutations
 import pytest
 
 from sparsekit import Graph, bounded_degree_graph, random_tree, triangulation
+from sparsekit.graphs import subset_components
 from sparsekit.rng import Xoshiro256
+from sparsekit.treedepth import treedepth_at_most
 
 
 def random_graph(n, edge_percent, seed):
@@ -125,6 +127,54 @@ def orient_smallest_last_oracle(edges):
                 arcs.append((w, v))
         alive.remove(v)
     return arcs
+
+
+# ---------------------------------------------------------------------------
+# LTD verification oracle: the full lexicographic scan over every color set of
+# size <= p, splitting each into components and testing every component
+# larger than the budget, kept to check the connected-color-set decision of
+# verify_ltd against; returns (ok, counterexample)
+
+def verify_ltd_oracle(g, p, coloring):
+    def color_subsets_lex(colors_present):
+        def extend(prefix, start):
+            for c in colors_present[start:]:
+                subset = prefix + (c,)
+                yield subset
+                if len(subset) < p:
+                    yield from extend(subset, colors_present.index(c) + 1)
+
+        yield from extend((), 0)
+
+    def induced(vertices):
+        pos = {v: i for i, v in enumerate(vertices)}
+        keep = set(vertices)
+        edges = []
+        for v in vertices:
+            for w in g.adj[v]:
+                if w in keep and v < w:
+                    edges.append((pos[v], pos[w]))
+        return Graph(len(vertices), edges)
+
+    classes = {}
+    for v, c in enumerate(coloring.assignment):
+        classes.setdefault(c, []).append(v)
+    memo = {}
+    for subset in color_subsets_lex(sorted(classes)):
+        vertices = []
+        for c in subset:
+            vertices.extend(classes[c])
+        vertices.sort()
+        budget = len(subset)
+        for comp in subset_components(g, vertices):
+            if len(comp) <= budget:
+                continue
+            key = (comp, budget)
+            if key not in memo:
+                memo[key] = treedepth_at_most(induced(comp), budget) is not None
+            if not memo[key]:
+                return False, subset
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from sparsekit.decomposition import (
 )
 from sparsekit.errors import SizeLimitError
 from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation
+from sparsekit.rng import Xoshiro256
+from sparsekit.treedepth import greedy_smallest_last_coloring
 
-from conftest import orient_smallest_last_oracle
+from conftest import orient_smallest_last_oracle, random_graph, verify_ltd_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +142,79 @@ def test_verify_ltd_proper_is_p1_valid(small_graph_sample):
     for g in small_graph_sample[:20]:
         d = ltd_coloring(g, 1)
         assert verify_ltd(g, 1, d.coloring).ok
+
+
+def _tf_round_colorings(g):
+    """The colorings ltd_coloring tries, after 0, 1, 2, ... augmentation
+    rounds; each round is computed only when asked for."""
+    orientation = degeneracy_orientation(g)
+    while True:
+        yield greedy_smallest_last_coloring(orientation.underlying_graph())
+        orientation = tf_augment(orientation, 1)
+
+
+def test_verify_ltd_matches_oracle_on_tf_rounds(peel_sample):
+    # every coloring ltd_coloring tries for p = 1..4: rounds 0..2p-2, up to
+    # the first that verifies
+    outcomes = {True: 0, False: 0}
+    for g in peel_sample:
+        for p in range(1, 5):
+            for r, coloring in zip(range(2 * p - 1), _tf_round_colorings(g)):
+                out = verify_ltd(g, p, coloring)
+                assert (out.ok, out.counterexample) == verify_ltd_oracle(g, p, coloring), \
+                    (g, p, r)
+                outcomes[out.ok] += 1
+                if out.ok:
+                    break
+    assert outcomes[True] >= 600 and outcomes[False] >= 200, outcomes
+
+
+def test_verify_ltd_matches_oracle_on_random_colorings():
+    rng = Xoshiro256(5)
+    outcomes = {True: 0, False: 0}
+    for seed in range(2400):
+        n = 1 + rng.randrange(14)
+        g = random_graph(n, 10 + rng.randrange(60), seed=seed)
+        k = 1 + rng.randrange(n)
+        colors = []
+        for v in range(n):
+            # half of the colorings retry a color an earlier neighbour holds,
+            # so that proper (and some valid) colorings occur too
+            c = rng.randrange(k)
+            for _ in range(3 * (seed % 2)):
+                if all(colors[w] != c for w in g.adj[v] if w < v):
+                    break
+                c = rng.randrange(k)
+            colors.append(c)
+        p = 1 + rng.randrange(4)
+        coloring = Coloring(colors)
+        out = verify_ltd(g, p, coloring)
+        assert (out.ok, out.counterexample) == verify_ltd_oracle(g, p, coloring), \
+            (g.edges, colors, p)
+        outcomes[out.ok] += 1
+    assert outcomes[True] >= 800 and outcomes[False] >= 1400, outcomes
+
+
+def test_verify_ltd_exact_test_on_component_without_unique_color():
+    # {0,1,2} spans all of P_6 with every color twice: the exact test runs
+    # and td(P_6) = 3 passes
+    assert verify_ltd(named("P_6"), 3, Coloring([0, 1, 2, 0, 1, 2])).ok
+    out = verify_ltd(named("C_4"), 2, Coloring([1, 2, 1, 2], palette=3))
+    assert not out.ok
+    assert out.counterexample == (1, 2)
+
+
+def test_ltd_failure_counterexample_is_lexicographically_smallest(small_graph_sample):
+    found = set()
+    for g in small_graph_sample:
+        for p in (2, 3, 4):
+            try:
+                ltd_coloring(g, p, max_rounds=0, exact_fallback_limit=0)
+            except LtdVerificationError as exc:
+                tried = next(_tf_round_colorings(g))
+                assert verify_ltd_oracle(g, p, tried) == (False, exc.counterexample)
+                found.add(exc.counterexample)
+    assert len(found) >= 8, found
 
 
 def test_ltd_soundness_reverified_exactly(small_graph_sample):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from sparsekit import (
@@ -21,6 +23,9 @@ from sparsekit import (
 from sparsekit.graphs import (
     INFINITY,
     catalog_names,
+    connected_subsets,
+    is_connected_mask,
+    mask_of,
     smallest_last_order,
     subset_components,
 )
@@ -193,6 +198,16 @@ def test_subset_components_match_induced_subgraph(small_graph_sample):
     # components come in the order of their first member in the input
     g = Graph(5, [(0, 4), (1, 2)])
     assert subset_components(g, [2, 4, 1, 0]) == [(1, 2), (0, 4)]
+
+
+def test_connected_subsets_yield_each_connected_set_once(small_graph_sample):
+    for g in small_graph_sample:
+        for size in (1, 2, 4):
+            got = list(connected_subsets(g.adj, range(g.n), size))
+            want = {frozenset(s) for k in range(1, size + 1)
+                    for s in combinations(range(g.n), k)
+                    if is_connected_mask(g.adj_mask, mask_of(s))}
+            assert len(got) == len(want) and set(got) == want
 
 
 def test_degeneracy_orientation_triangle():
