@@ -11,6 +11,7 @@ from .graphs import (
     all_pairs_distances,
     bfs_distances,
     induced_subgraph,
+    max_clique,
     named,
 )
 from .treedepth import greedy_smallest_last_coloring
@@ -67,58 +68,7 @@ def max_odd_distance_set(g, size_limit=30):
         if dist[u][v] != INFINITY and dist[u][v] % 2 == 1
     ]
     aux = Graph(g.n, edges)
-    return _max_clique(aux)
-
-
-def _max_clique(g):
-    """Exact maximum clique (branch and bound, greedy-coloring bound),
-    returning the lexicographically first optimum found."""
-    if g.n == 0:
-        return []
-    adj = g.adj_mask
-    best = [[]]
-
-    def color_bound(cand_list):
-        classes = []
-        bounds = []
-        for v in cand_list:
-            placed = False
-            for i, cls in enumerate(classes):
-                if not (adj[v] & cls[0]):
-                    cls[0] |= 1 << v
-                    cls[1].append(v)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([1 << v, [v]])
-        order = []
-        for i, cls in enumerate(classes):
-            for v in cls[1]:
-                order.append((v, i + 1))
-        return order  # (vertex, color index) with color index as bound
-
-    def expand(current, cand_mask):
-        cand_list = []
-        mask = cand_mask
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            cand_list.append(bit.bit_length() - 1)
-        order = color_bound(cand_list)
-        for v, bound in reversed(order):
-            if len(current) + bound <= len(best[0]):
-                return
-            current.append(v)
-            new_cand = cand_mask & adj[v]
-            if new_cand:
-                expand(current, new_cand)
-            elif len(current) > len(best[0]):
-                best[0] = sorted(current)
-            current.pop()
-            cand_mask ^= 1 << v
-
-    expand([], (1 << g.n) - 1)
-    return best[0]
+    return max_clique(aux)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ from itertools import combinations, product
 
 from .decomposition import ltd_coloring
 from .errors import BudgetExceededError, SizeLimitError, ValidationError
-from .graphs import Graph, colorset_components, induced_subgraph, is_connected_mask
+from .graphs import (
+    Graph,
+    anchored_order,
+    colorset_components,
+    induced_subgraph,
+    is_connected_mask,
+)
 from .treedepth import NO_PARENT, treedepth_at_most
 
 MODE_SUBGRAPH = "subgraph"
@@ -38,39 +44,16 @@ class CountQuery:
 # ---------------------------------------------------------------------------
 # labeled-embedding engine
 
-def _pattern_order(pattern):
-    """Contiguous order: after the first vertex of a component, every vertex
-    has an already-placed neighbor (its anchor)."""
-    order = []
-    anchor = []
-    seen = set()
-    for start in sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v)):
-        if start in seen:
-            continue
-        seen.add(start)
-        order.append(start)
-        anchor.append(None)
-        while True:
-            fringe = [(w, u) for u in order for w in pattern.adj[u] if w not in seen]
-            if not fringe:
-                break
-            w, u = min(fringe, key=lambda t: (-pattern.degree(t[0]), t[0]))
-            seen.add(w)
-            order.append(w)
-            anchor.append(u)
-    return order, anchor
-
-
 def anchor_tree_bound(pattern, host):
     """Upper bound on count_embeddings(pattern, host), computed without search.
 
     Counts the homomorphisms of the anchor forest (each pattern vertex joined
-    to its anchor in _pattern_order) into the host that send every pattern
+    to its anchor in anchored_order) into the host that send every pattern
     vertex to a host vertex of at least its degree. Each complete map the
     enumeration reaches is one of them: it keeps the anchor edges and applies
     the same degree filter. A tree DP over host adjacency, O(|H| * (n + m)).
     """
-    order, anchor = _pattern_order(pattern)
+    order, anchor = anchored_order(pattern)
     ways = [[int(host.degree(t) >= pattern.degree(v)) for t in range(host.n)]
             for v in range(pattern.n)]
     total = 1
@@ -102,7 +85,7 @@ def find_embedding(pattern, host, induced=False):
 def _embed(pattern, host, induced, find):
     if pattern.n > host.n:
         return None if find else 0
-    order, anchor = _pattern_order(pattern)
+    order, anchor = anchored_order(pattern)
     image = [-1] * pattern.n
     used = set()
     total = [0]

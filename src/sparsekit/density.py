@@ -14,16 +14,31 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeLimitError, ValidationError
-from .graphs import is_connected_mask, mask_of, mask_vertices
+from .graphs import (
+    induced_subgraph,
+    is_connected_mask,
+    mask_of,
+    mask_vertices,
+    subset_components,
+)
 
 
 # ---------------------------------------------------------------------------
 # witness models
 
-class MinorModel:
+class _Model:
+    """A witness minor; its density is size / order."""
+
+    __slots__ = ()
+
+    def density(self):
+        return Fraction(self.size(), self.order())
+
+
+class MinorModel(_Model):
     """Disjoint branch sets, each inducing a connected subgraph of radius
-    <= depth; every claimed minor edge is witnessed by a base-graph edge
-    between the two branch sets."""
+    <= depth; every claimed minor edge joins two distinct branch sets, is
+    listed once, and is witnessed by a base-graph edge between them."""
 
     __slots__ = ("branch_sets", "depth", "minor_edges")
 
@@ -38,9 +53,6 @@ class MinorModel:
     def size(self):
         return len(self.minor_edges)
 
-    def density(self):
-        return Fraction(self.size(), self.order())
-
     def validate(self, g):
         used = set()
         for b in self.branch_sets:
@@ -53,8 +65,10 @@ class MinorModel:
                 return False
             if _mask_radius(g, mask) > self.depth:
                 return False
-        for i, j in self.minor_edges:
-            if not (0 <= i < len(self.branch_sets) and 0 <= j < len(self.branch_sets)):
+        if len(set(self.minor_edges)) != len(self.minor_edges):
+            return False
+        for i, j in self.minor_edges:  # stored with i <= j
+            if not 0 <= i < j < len(self.branch_sets):
                 return False
             ai = mask_of(self.branch_sets[i])
             aj = mask_of(self.branch_sets[j])
@@ -71,10 +85,9 @@ class MinorModel:
         }
 
 
-class TopoModel:
-    """Principal vertices joined by internally vertex-disjoint paths of
-    length <= 2*depth+1; no principal is interior to any path; the minor's
-    edges are exactly the linked pairs."""
+class _PathModel(_Model):
+    """Principal vertices joined by paths of length <= 2*depth+1; the
+    minor's edges are exactly the linked pairs."""
 
     __slots__ = ("principals", "paths", "depth")
 
@@ -89,79 +102,69 @@ class TopoModel:
     def size(self):
         return len(self.paths)
 
-    def density(self):
-        return Fraction(self.size(), self.order())
-
-    def validate(self, g):
+    def _paths_valid(self, g):
+        """Each path is a simple path of g of length 1..2*depth+1 between two
+        principals, and no principal pair is linked twice."""
         pset = set(self.principals)
         seen_pairs = set()
-        interiors = set()
         for path in self.paths:
             if len(path) < 2 or len(path) - 1 > 2 * self.depth + 1:
                 return False
             if len(set(path)) != len(path):
                 return False
-            for u, v in zip(path, path[1:]):
-                if not g.has_edge(u, v):
-                    return False
             if path[0] not in pset or path[-1] not in pset:
                 return False
-            inner = set(path[1:-1])
-            if inner & pset:
+            if not all(g.has_edge(u, v) for u, v in zip(path, path[1:])):
                 return False
-            if inner & interiors:
-                return False
-            interiors |= inner
             pair = frozenset((path[0], path[-1]))
-            if len(pair) != 2 or pair in seen_pairs:
+            if pair in seen_pairs:
                 return False
             seen_pairs.add(pair)
         return True
 
     def to_json(self):
         return {
-            "kind": "topological",
+            "kind": self.KIND,
             "depth": self.depth,
             "principals": list(self.principals),
             "paths": [list(p) for p in self.paths],
         }
 
 
-class ImmersionModel:
+class TopoModel(_PathModel):
+    """Principal vertices joined by internally vertex-disjoint paths of
+    length <= 2*depth+1; no principal is interior to any path; the minor's
+    edges are exactly the linked pairs."""
+
+    __slots__ = ()
+    KIND = "topological"
+
+    def validate(self, g):
+        if not self._paths_valid(g):
+            return False
+        blocked = set(self.principals)
+        for path in self.paths:
+            inner = set(path[1:-1])
+            if inner & blocked:
+                return False
+            blocked |= inner
+        return True
+
+
+class ImmersionModel(_PathModel):
     """Principal vertices joined by edge-disjoint paths of length
     <= 2*depth+1, with no vertex interior to more than depth paths."""
 
-    __slots__ = ("principals", "paths", "depth")
-
-    def __init__(self, principals, paths, depth):
-        self.principals = tuple(sorted(principals))
-        self.paths = tuple(tuple(p) for p in paths)
-        self.depth = depth
-
-    def order(self):
-        return len(self.principals)
-
-    def size(self):
-        return len(self.paths)
-
-    def density(self):
-        return Fraction(self.size(), self.order())
+    __slots__ = ()
+    KIND = "immersion"
 
     def validate(self, g):
-        pset = set(self.principals)
-        seen_pairs = set()
+        if not self._paths_valid(g):
+            return False
         used_edges = set()
         interior_load = {}
         for path in self.paths:
-            if len(path) < 2 or len(path) - 1 > 2 * self.depth + 1:
-                return False
-            if len(set(path)) != len(path):
-                return False
-            if path[0] not in pset or path[-1] not in pset:
-                return False
             for u, v in zip(path, path[1:]):
-                if not g.has_edge(u, v):
-                    return False
                 e = frozenset((u, v))
                 if e in used_edges:
                     return False
@@ -170,19 +173,7 @@ class ImmersionModel:
                 interior_load[v] = interior_load.get(v, 0) + 1
                 if interior_load[v] > self.depth:
                     return False
-            pair = frozenset((path[0], path[-1]))
-            if len(pair) != 2 or pair in seen_pairs:
-                return False
-            seen_pairs.add(pair)
         return True
-
-    def to_json(self):
-        return {
-            "kind": "immersion",
-            "depth": self.depth,
-            "principals": list(self.principals),
-            "paths": [list(p) for p in self.paths],
-        }
 
 
 def _mask_radius(g, mask):
@@ -310,11 +301,6 @@ def _denser_subgraph(g, density):
     return witness or None
 
 
-def _edges_inside(g, vertices):
-    vs = set(vertices)
-    return sum(1 for u, v in g.edges if u in vs and v in vs)
-
-
 def nabla0(g):
     """Exact max subgraph density max_H ||H||/|H| with a witness vertex set.
 
@@ -331,7 +317,7 @@ def nabla0(g):
         denser = _denser_subgraph(g, best)
         if denser is None:
             return best, witness
-        density = Fraction(_edges_inside(g, denser), len(denser))
+        density = Fraction(induced_subgraph(g, denser)[0].m, len(denser))
         if density <= best:
             return best, witness
         best, witness = density, denser
@@ -358,48 +344,21 @@ def nabla0_bruteforce(g, limit=16):
 # ---------------------------------------------------------------------------
 # shallow minors
 
-def _forest_fast_path(g, r, model_cls):
-    """Shallow minors, topological minors, and immersions of forests are
-    forests, so the density maximum is attained by the densest subgraph."""
+def _densest_model(g, r, cls):
+    """(nabla0, model): the densest subgraph as a depth-r model of class cls,
+    its vertices as singleton branch sets or principals and its edges as
+    minor edges or one-edge paths, so the model's density is nabla0.
+    Shallow minors, topological minors and immersions of forests are
+    forests, so for a forest this model is optimal at every depth."""
     value, witness = nabla0(g)
-    if model_cls is MinorModel:
-        model = MinorModel([[v] for v in witness], r, _subgraph_edge_pairs(g, witness))
-    else:
-        pairs = _subgraph_edge_pairs_vertices(g, witness)
-        model = model_cls(witness, [(u, v) for u, v in pairs], r)
-    return value, model
-
-
-def _subgraph_edge_pairs(g, vertices):
-    pos = {v: i for i, v in enumerate(vertices)}
-    return [
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
-    ]
-
-
-def _subgraph_edge_pairs_vertices(g, vertices):
-    vs = set(vertices)
-    return [(u, v) for u, v in g.edges if u in vs and v in vs]
+    sub, back = induced_subgraph(g, witness)
+    if cls is MinorModel:
+        return value, MinorModel([[v] for v in back], r, sub.edges)
+    return value, cls(back, [(back[i], back[j]) for i, j in sub.edges], r)
 
 
 def _is_forest(g):
-    seen = [False] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    stack.append(w)
-                elif parent[u] != w:
-                    return False
-    return True
+    return g.m == g.n - len(subset_components(g, range(g.n)))
 
 
 def grad(g, r, exact_limit=12):
@@ -414,12 +373,8 @@ def grad(g, r, exact_limit=12):
         raise ValidationError("depth must be >= 0")
     if g.n == 0:
         raise ValidationError("grad needs at least one vertex")
-    if r == 0:
-        value, witness = nabla0(g)
-        model = MinorModel([[v] for v in witness], 0, _subgraph_edge_pairs(g, witness))
-        return value, model
-    if _is_forest(g):
-        return _forest_fast_path(g, r, MinorModel)
+    if r == 0 or _is_forest(g):
+        return _densest_model(g, r, MinorModel)
     if g.n > exact_limit:
         raise SizeLimitError(f"grad limited to {exact_limit} vertices for r >= 1, got {g.n}")
     n, m = g.n, g.m
@@ -438,12 +393,7 @@ def grad(g, r, exact_limit=12):
         # larger sets first reaches contracted structures early
         lst.sort(key=lambda c: (-bin(c[0]).count("1"), c[0]))
 
-    seed_value, seed_witness = nabla0(g)
-    best = [
-        seed_value,
-        MinorModel([[v] for v in seed_witness], r,
-                   _subgraph_edge_pairs(g, seed_witness)),
-    ]
+    best = list(_densest_model(g, r, MinorModel))
     sets = []
     nbrs = []
 
@@ -540,19 +490,13 @@ def top_grad(g, r, exact_limit=12):
         raise ValidationError("depth must be >= 0")
     if g.n == 0:
         raise ValidationError("top_grad needs at least one vertex")
-    if r == 0:
-        value, witness = nabla0(g)
-        model = TopoModel(witness, _subgraph_edge_pairs_vertices(g, witness), 0)
-        return value, model
-    if _is_forest(g):
-        return _forest_fast_path(g, r, TopoModel)
+    if r == 0 or _is_forest(g):
+        return _densest_model(g, r, TopoModel)
     if g.n > exact_limit:
         raise SizeLimitError(f"top_grad limited to {exact_limit} vertices for r >= 1, got {g.n}")
     n = g.n
     max_len = 2 * r + 1
-    seed_value, seed_witness = nabla0(g)
-    best = [seed_value,
-            TopoModel(seed_witness, _subgraph_edge_pairs_vertices(g, seed_witness), r)]
+    best = list(_densest_model(g, r, TopoModel))
 
     subsets = []
     for mask in range(1, 1 << n):
@@ -618,12 +562,8 @@ def imm_grad(g, r, exact_limit=10):
         raise ValidationError("depth must be >= 0")
     if g.n == 0:
         raise ValidationError("imm_grad needs at least one vertex")
-    if r == 0:
-        value, witness = nabla0(g)
-        model = ImmersionModel(witness, _subgraph_edge_pairs_vertices(g, witness), 0)
-        return value, model
-    if _is_forest(g):
-        return _forest_fast_path(g, r, ImmersionModel)
+    if r == 0 or _is_forest(g):
+        return _densest_model(g, r, ImmersionModel)
     if g.n > exact_limit:
         raise SizeLimitError(f"imm_grad limited to {exact_limit} vertices for r >= 1, got {g.n}")
     n, m = g.n, g.m
@@ -632,9 +572,7 @@ def imm_grad(g, r, exact_limit=10):
     for i, (u, v) in enumerate(g.edges):
         edge_id[(u, v)] = i
         edge_id[(v, u)] = i
-    seed_value, seed_witness = nabla0(g)
-    best = [seed_value,
-            ImmersionModel(seed_witness, _subgraph_edge_pairs_vertices(g, seed_witness), r)]
+    best = list(_densest_model(g, r, ImmersionModel))
 
     subsets = []
     for mask in range(1, 1 << n):
@@ -753,8 +691,7 @@ def density_profile(family, r, sizes, exact_limit=12):
             value = model.density()
             exact = False
         else:
-            value, witness = nabla0(g)
-            model = TopoModel(witness, _subgraph_edge_pairs_vertices(g, witness), r)
+            value, model = _densest_model(g, r, TopoModel)
             exact = False
         order, sz = model.order(), model.size()
         if order >= 2 and sz >= 1:

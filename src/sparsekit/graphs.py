@@ -419,6 +419,31 @@ def subset_components(g, vertices):
     return comps
 
 
+def anchored_order(g):
+    """Vertices by descending degree (smallest id on ties), each component
+    kept contiguous: after the first vertex of a component, every vertex
+    has an already-placed neighbor (its anchor). Returns (order, anchor),
+    anchor[i] being None for the first vertex of each component."""
+    order = []
+    anchor = []
+    seen = set()
+    for start in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        if start in seen:
+            continue
+        seen.add(start)
+        order.append(start)
+        anchor.append(None)
+        while True:
+            fringe = [(w, u) for u in order for w in g.adj[u] if w not in seen]
+            if not fringe:
+                break
+            w, u = min(fringe, key=lambda t: (-g.degree(t[0]), t[0]))
+            seen.add(w)
+            order.append(w)
+            anchor.append(u)
+    return order, anchor
+
+
 def connected_subsets(adj, nodes, max_size):
     """Connected sets of 1..max_size vertices, each yielded once as a
     frozenset; adj[v] lists v's neighbours, nodes the vertices to use.
@@ -622,41 +647,48 @@ def degeneracy_orientation(g):
 # exact clique and chromatic number (desk scale, hard refusal above limits)
 
 def clique_number(g, exact_limit=20):
-    """Exact ω by branch and bound with a greedy-coloring upper bound."""
+    """Exact ω, the size of a maximum clique."""
     if g.n > exact_limit:
         raise SizeLimitError(f"clique_number limited to {exact_limit} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    adj = g.adj_mask
-    best = [1]
+    return len(max_clique(g))
 
-    def color_bound(cand):
-        # greedy coloring of candidates; number of classes bounds the clique
-        order = mask_vertices(cand)
+
+def max_clique(g):
+    """Exact maximum clique (branch and bound, greedy-coloring bound),
+    returning the lexicographically first optimum found."""
+    if g.n == 0:
+        return []
+    adj = g.adj_mask
+    best = [[]]
+
+    def color_bound(cand_list):
+        # greedy coloring of the candidates: a vertex of color class i can
+        # extend the current clique by at most i vertices
         classes = []
-        for v in order:
+        for v in cand_list:
             for cls in classes:
                 if not (adj[v] & cls[0]):
                     cls[0] |= 1 << v
+                    cls[1].append(v)
                     break
             else:
-                classes.append([1 << v])
-        return len(classes)
+                classes.append([1 << v, [v]])
+        return [(v, i) for i, cls in enumerate(classes, start=1) for v in cls[1]]
 
-    def expand(clique_size, cand):
-        if cand == 0:
-            best[0] = max(best[0], clique_size)
-            return
-        if clique_size + color_bound(cand) <= best[0]:
-            return
-        while cand:
-            if clique_size + bin(cand).count("1") <= best[0]:
+    def expand(current, cand_mask):
+        for v, bound in reversed(color_bound(mask_vertices(cand_mask))):
+            if len(current) + bound <= len(best[0]):
                 return
-            v = cand & -cand
-            cand ^= v
-            expand(clique_size + 1, cand & adj[v.bit_length() - 1])
+            current.append(v)
+            new_cand = cand_mask & adj[v]
+            if new_cand:
+                expand(current, new_cand)
+            elif len(current) > len(best[0]):
+                best[0] = sorted(current)
+            current.pop()
+            cand_mask ^= 1 << v
 
-    expand(0, (1 << g.n) - 1)
+    expand([], (1 << g.n) - 1)
     return best[0]
 
 

@@ -9,7 +9,7 @@ report-producing checkers record per instance.
 from itertools import combinations
 
 from .errors import BudgetExceededError, SizeLimitError, ValidationError
-from .graphs import induced_subgraph
+from .graphs import anchored_order, induced_subgraph
 
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
@@ -53,7 +53,7 @@ def hom_exists(g, h, source_limit=200, target_limit=32, budget=2_000_000):
                 dom |= 1 << t
         domains.append(dom if g.degree(v) else full)
 
-    order = _search_order(g)
+    order, _ = anchored_order(g)
     nodes = [0]
 
     def propagate(doms):
@@ -123,28 +123,6 @@ def hom_exists(g, h, source_limit=200, target_limit=32, budget=2_000_000):
             raise AssertionError("search returned an invalid map")
         return result
     return None
-
-
-def _search_order(g):
-    """Vertices by descending degree, each component kept contiguous so a
-    newly placed vertex always has a placed neighbor to prune against."""
-    order = []
-    seen = set()
-    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for start in by_degree:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        while True:
-            fringe = {w for u in comp for w in g.adj[u] if w not in seen}
-            if not fringe:
-                break
-            w = min(fringe, key=lambda v: (-g.degree(v), v))
-            seen.add(w)
-            comp.append(w)
-        order.extend(comp)
-    return order
 
 
 def core(g, exact_limit=12):

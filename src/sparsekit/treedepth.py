@@ -11,6 +11,7 @@ is what the decomposition verifier needs.
 from .errors import SizeLimitError, ValidationError
 from .graphs import (
     component_masks,
+    is_connected_mask,
     mask_vertices,
     smallest_last_order,
     subset_components,
@@ -349,16 +350,7 @@ def verify_centered_coloring(g, coloring, bruteforce_limit=14):
     adj = g.adj_mask
     colors = coloring.assignment
     for mask in range(1, 1 << g.n):
-        start = mask & -mask
-        comp = start
-        frontier = start
-        while frontier:
-            v = frontier & -frontier
-            frontier ^= v
-            nbrs = adj[v.bit_length() - 1] & mask & ~comp
-            comp |= nbrs
-            frontier |= nbrs
-        if comp != mask:
+        if not is_connected_mask(adj, mask):
             continue
         counts = {}
         for v in mask_vertices(mask):
@@ -462,24 +454,10 @@ def dfs_height_bounds(g):
     vertices in the graph, and td(P_h) = ceil(log2(h+1)), so lower <= td.
     """
     parent = [NO_PARENT] * g.n
-    visited = [False] * g.n
-    for root in range(g.n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack = [(root, iter(g.adj[root]))]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = u
-                    stack.append((w, iter(g.adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
+    for comp in subset_components(g, range(g.n)):
+        dfs_parent, _ = _dfs_tree(g, comp, set(comp))
+        for v, p in dfs_parent.items():
+            parent[v] = p
     forest = EliminationForest(parent)
     h = forest.height
     return h.bit_length(), h, forest  # bit_length(h) == ceil(log2(h+1))

@@ -178,6 +178,21 @@ def verify_ltd_oracle(g, p, coloring):
 
 
 # ---------------------------------------------------------------------------
+# maximum-clique oracle: the largest k for which some k-combination of the
+# vertices is pairwise adjacent, trying k = 1, 2, ... until none is
+
+def clique_number_oracle(g):
+    edges = set(g.edges)
+    best = 0
+    for k in range(1, g.n + 1):
+        if not any(all(e in edges for e in combinations(subset, 2))
+                   for subset in combinations(range(g.n), k)):
+            break
+        best = k
+    return best
+
+
+# ---------------------------------------------------------------------------
 # isomorphism-class enumeration for the exhaustive small-graph catalog
 
 def all_graphs_up_to_iso(n):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,9 @@ from sparsekit import (
     verify_dn_coloring,
 )
 from sparsekit.applications import Cover, ball
+from sparsekit.graphs import catalog_names
+
+from conftest import clique_number_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,25 @@ def test_oddset_complete():
 
 def test_oddset_even_cycle():
     assert len(max_odd_distance_set(named("C_6"))) == 2
+
+
+def test_oddset_is_maximum_on_catalog():
+    for name in catalog_names(max_n=16):
+        g = named(name)
+        # hop distances by Floyd-Warshall, apart from the library's BFS
+        far = g.n + 1
+        d = [[0 if u == v else 1 if g.has_edge(u, v) else far
+              for v in range(g.n)] for u in range(g.n)]
+        for k in range(g.n):
+            for u in range(g.n):
+                for v in range(g.n):
+                    d[u][v] = min(d[u][v], d[u][k] + d[k][v])
+        odd = Graph(g.n, [(u, v) for u, v in combinations(range(g.n), 2)
+                          if d[u][v] < far and d[u][v] % 2 == 1])
+        found = max_odd_distance_set(g)
+        assert len(set(found)) == len(found), name
+        assert all(odd.has_edge(u, v) for u, v in combinations(found, 2)), name
+        assert len(found) == clique_number_oracle(odd), name
 
 
 def test_oddset_limit():

@@ -168,20 +168,44 @@ def test_monotone_in_depth():
 def test_models_reject_planted_violations():
     from sparsekit.density import ImmersionModel, MinorModel, TopoModel
 
-    g = named("C_6")
-    # overlapping branch sets
-    assert not MinorModel([[0, 1], [1, 2]], 1, [(0, 1)]).validate(g)
-    # claimed edge with no witness
-    assert not MinorModel([[0], [3]], 1, [(0, 1)]).validate(g)
-    # radius too large
-    assert not MinorModel([[0, 1, 2, 3, 4]], 1, []).validate(g)
-    # path through a principal vertex
-    assert not TopoModel([0, 2, 1], [(0, 1, 2)], 1).validate(g)
-    # shared interior (both spokes of a star run through the hub)
-    assert not TopoModel([1, 2, 3, 4], [(1, 0, 2), (3, 0, 4)], 1).validate(
-        named("star_4"))
-    # duplicated edge in an immersion
-    assert not ImmersionModel([0, 1], [(0, 1), (1, 0)], 1).validate(g)
+    invalid = [
+        # MinorModel
+        ("C_6", MinorModel([[0, 1], [1, 2]], 1, [(0, 1)])),  # overlapping sets
+        ("C_6", MinorModel([[0], [3]], 1, [(0, 1)])),  # non-adjacent sets
+        ("C_6", MinorModel([[0, 1, 2, 3, 4]], 1, [])),  # radius too large
+        ("K_2", MinorModel([[0], [1]], 0, [(0, 1), (0, 1)])),  # repeated pair
+        ("K_3", MinorModel([[0], [1], [2]], 0,  # five edges, density 5/3
+                           [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0)])),
+        ("K_2", MinorModel([[0, 1]], 1, [(0, 0)])),  # loop
+        ("K_2", MinorModel([[0], [1]], 0, [(0, 2)])),  # no such branch set
+        # TopoModel
+        ("K_2", TopoModel([0, 1], [(0, 1), (1, 0)], 0)),  # repeated pair
+        ("C_4", TopoModel([0, 2], [(0, 1, 2), (0, 3, 2)], 1)),  # pair twice
+        ("K_3", TopoModel([0], [(0, 1, 2, 0)], 1)),  # loop
+        ("C_6", TopoModel([0, 3], [(0, 3)], 1)),  # non-adjacent ends
+        ("C_6", TopoModel([0, 3], [(0, 1, 2, 3)], 0)),  # over-long path
+        ("C_6", TopoModel([0, 2, 1], [(0, 1, 2)], 1)),  # through a principal
+        # shared interior: both paths run through the hub
+        ("star_4", TopoModel([1, 2, 3, 4], [(1, 0, 2), (3, 0, 4)], 2)),
+        # ImmersionModel
+        ("C_6", ImmersionModel([0, 1], [(0, 1), (1, 0)], 1)),  # repeated edge
+        ("C_4", ImmersionModel([0, 2], [(0, 1, 2), (0, 3, 2)], 1)),  # pair twice
+        ("K_3", ImmersionModel([0], [(0, 1, 2, 0)], 1)),  # loop
+        ("C_6", ImmersionModel([0, 3], [(0, 3)], 1)),  # non-adjacent ends
+        ("C_6", ImmersionModel([0, 3], [(0, 1, 2, 3)], 0)),  # over-long path
+        ("K_3", ImmersionModel([0, 1, 2], [(0, 1), (0, 1, 2)], 1)),  # shared edge
+        # overloaded interior: both paths run through the hub at depth 1
+        ("star_4", ImmersionModel([1, 2, 3, 4], [(1, 0, 2), (3, 0, 4)], 1)),
+    ]
+    for name, model in invalid:
+        assert not model.validate(named(name)), (name, model.to_json())
+    valid = [
+        ("K_2", MinorModel([[0], [1]], 0, [(0, 1)])),
+        ("C_4", TopoModel([0, 2], [(0, 1, 2)], 1)),
+        ("star_4", ImmersionModel([1, 2, 3, 4], [(1, 0, 2), (3, 0, 4)], 2)),
+    ]
+    for name, model in valid:
+        assert model.validate(named(name)), (name, model.to_json())
 
 
 def test_profile_subdivided_cliques_trend():

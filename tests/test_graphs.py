@@ -31,6 +31,7 @@ from sparsekit.graphs import (
 )
 
 from conftest import (
+    clique_number_oracle,
     degeneracy_oracle,
     degeneracy_peel_oracle,
     random_graph,
@@ -286,6 +287,12 @@ def test_clique_chromatic_petersen():
     g = named("Petersen")
     assert clique_number(g) == 2
     assert chromatic_number(g) == 3
+
+
+def test_clique_number_matches_exhaustive_oracle(small_graph_sample):
+    dense = [random_graph(20, pct, seed=900 + pct) for pct in (20, 40, 60, 75)]
+    for g in list(small_graph_sample) + dense:
+        assert clique_number(g) == clique_number_oracle(g), g.edges
 
 
 def test_exact_limits_refuse():

@@ -19,7 +19,7 @@ from sparsekit import (
     verify_elimination_forest,
     verify_vertex_ranking,
 )
-from sparsekit.treedepth import ranking_from_forest
+from sparsekit.treedepth import NO_PARENT, ranking_from_forest
 
 from conftest import random_graph, treedepth_oracle
 
@@ -207,6 +207,20 @@ def test_dfs_bounds_complete():
         td, _ = treedepth_exact(named(f"K_{n}"))
         assert td == n == hi
         assert verify_elimination_forest(named(f"K_{n}"), forest)
+
+
+def test_dfs_bounds_disconnected_with_isolated_vertices():
+    # components {0}, {1, 3, 5, 6} (smallest id 1) and {2, 4}
+    g = Graph(7, [(5, 1), (1, 3), (3, 6), (2, 4)])
+    lo, hi, forest = dfs_height_bounds(g)
+    assert (lo, hi) == (2, 3)
+    assert forest.parent == (NO_PARENT, NO_PARENT, NO_PARENT, 1, 2, 1, 3)
+
+
+def test_dfs_bounds_long_path():
+    lo, hi, forest = dfs_height_bounds(named("P_3000"))
+    assert (lo, hi) == (12, 3000)
+    assert forest.parent == (NO_PARENT,) + tuple(range(2999))
 
 
 def test_dfs_upper_bound_holds_on_sample(small_graph_sample):
