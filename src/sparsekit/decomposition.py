@@ -17,10 +17,18 @@ G[I] with a smaller spectrum J is a component of G[J], so td <= |J|; and
 deleting the one vertex of color c from C leaves components of G[I - c],
 each of td <= |I| - 1, so td(C) <= |I|. Only the components left need the
 exact test.
+
+A failing coloring's counterexample comes from the same components by the
+superset rule. A component C of G[I] is a full-spectrum component of G[J]
+for its spectrum J (a color class's component when |J| = 1), and such a C
+lies in a component of G[I] of td >= td(C) for every I containing J. So the
+smallest I that C makes violate adds to J the smallest colors absent from J
+and below max(J), up to min(p, td(C) - 1) colors. These tests skip the
+shortcut, whose induction assumes that the smaller sets hold.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import SizeLimitError, SparsekitError, ValidationError
@@ -76,14 +84,22 @@ class LtdDecomposition:
 class LtdVerification:
     """Verifier outcome: truthy iff every color subset passed.
 
-    counterexample is the lexicographically smallest violating color set.
+    counterexample is the lexicographically smallest violating color set, or
+    None; a failing outcome derives it on first read, by the superset rule.
     """
 
-    __slots__ = ("ok", "counterexample")
+    __slots__ = ("ok", "_failed", "_counterexample")
 
-    def __init__(self, ok, counterexample=None):
+    def __init__(self, ok, failed=None):
         self.ok = ok
-        self.counterexample = counterexample
+        self._failed = failed  # (g, p, coloring, memo) of a failing one
+        self._counterexample = None
+
+    @property
+    def counterexample(self):
+        if self._counterexample is None and self._failed:
+            self._counterexample = _smallest_violation(*self._failed)
+        return self._counterexample
 
     def __bool__(self):
         return self.ok
@@ -193,29 +209,15 @@ def _orient_smallest_last(edges):
 # ---------------------------------------------------------------------------
 # verification
 
-def _color_subsets_lex(colors_present, p):
-    """All nonempty subsets of at most p colors, in lexicographic order over
-    the sorted tuples ((0,) < (0,1) < (0,1,2) < (0,2) < (1,) ...)."""
-
-    def extend(prefix, start):
-        for c in colors_present[start:]:
-            subset = prefix + (c,)
-            yield subset
-            if len(subset) < p:
-                yield from extend(subset, colors_present.index(c) + 1)
-
-    yield from extend((), 0)
-
-
 def verify_ltd(g, p, coloring):
     """Check that every set I of at most p colors induces td <= |I|.
 
-    Returns an LtdVerification; its counterexample is the lexicographically
-    smallest violating color set. The yes/no answer comes from the connected
+    Returns an LtdVerification. The yes/no answer comes from the connected
     color sets alone (see the module docstring): a component of G[I] is
     tested exactly only when it uses every color of I, has more than |I|
-    vertices and no color occurring once in it. Only a failing coloring is
-    rescanned, set by set in lexicographic order, for its counterexample.
+    vertices and no color occurring once in it. The counterexample of a
+    failing coloring, the lexicographically smallest violating color set,
+    comes from the same sets by the superset rule, on first read.
     """
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
@@ -224,7 +226,7 @@ def verify_ltd(g, p, coloring):
     memo = {}
     if _ltd_holds(g, p, coloring.assignment, memo):
         return LtdVerification(True)
-    return LtdVerification(False, counterexample=_first_violation(g, p, coloring, memo))
+    return LtdVerification(False, failed=(g, p, coloring, memo))
 
 
 def _ltd_holds(g, p, colors, memo):
@@ -240,21 +242,35 @@ def _ltd_holds(g, p, colors, memo):
     return True
 
 
-def _first_violation(g, p, coloring, memo):
-    """The lexicographically smallest color set inducing td above its size."""
-    classes = {}
-    for v, c in enumerate(coloring.assignment):
-        classes.setdefault(c, []).append(v)
-    for subset in _color_subsets_lex(sorted(classes), p):
-        vertices = []
-        for c in subset:
-            vertices.extend(classes[c])
-        vertices.sort()
-        budget = len(subset)
-        for comp in subset_components(g, vertices):
-            if len(comp) > budget and not _component_td_at_most(g, comp, budget, memo):
-                return subset
-    raise AssertionError("failing coloring without a violating color set")
+def _smallest_violation(g, p, coloring, memo):
+    """The lexicographically smallest color set inducing td above its size,
+    for a failing coloring, by the superset rule of the module docstring."""
+    classes = coloring.classes()
+    palette = [c for c, members in enumerate(classes) if members]
+
+    def smallest_superset(spectrum, size):
+        # every color below max(spectrum) makes the tuple smaller
+        extra = [c for c in palette if c < spectrum[-1] and c not in spectrum]
+        return tuple(sorted(spectrum + tuple(extra[:size - len(spectrum)])))
+
+    best = (palette[-1] + 1,)  # above every set of palette colors
+    singles = (((c,), subset_components(g, classes[c])) for c in palette)
+    for spectrum, comps in chain(singles, colorset_components(g, coloring.assignment, p)):
+        reach = smallest_superset(spectrum, p)
+        for comp in comps:
+            if reach >= best:
+                break
+            if len(comp) <= len(spectrum):
+                continue
+            comp = tuple(sorted(comp))
+            k = len(spectrum) - 1  # td(comp) > k once a test has failed
+            while k < p and not _component_td_at_most(g, comp, k + 1, memo):
+                k += 1
+            if k >= len(spectrum):
+                best = min(best, smallest_superset(spectrum, k))
+    if best[0] > palette[-1]:
+        raise AssertionError("failing coloring without a violating color set")
+    return best
 
 
 def _component_td_at_most(g, comp, budget, memo):

@@ -383,12 +383,10 @@ def grad(g, r, exact_limit=12):
     for mask in range(1, 1 << n):
         if is_connected_mask(adj, mask) and _mask_radius(g, mask) <= r:
             nbr = 0
-            internal = 0
             for v in mask_vertices(mask):
                 nbr |= adj[v]
-                internal += bin(adj[v] & mask).count("1")
             low = (mask & -mask).bit_length() - 1
-            by_lowest[low].append((mask, nbr & ~mask, internal // 2))
+            by_lowest[low].append((mask, nbr & ~mask, _edges_inside_mask(g, mask)))
     for lst in by_lowest:
         # larger sets first reaches contracted structures early
         lst.sort(key=lambda c: (-bin(c[0]).count("1"), c[0]))

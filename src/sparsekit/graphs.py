@@ -580,12 +580,6 @@ class Orientation:
             out[u].append(v)
         return [sorted(x) for x in out]
 
-    def in_neighbors(self):
-        inn = [[] for _ in range(self.base.n)]
-        for u, v in self.arcs:
-            inn[v].append(u)
-        return [sorted(x) for x in inn]
-
 
 def peel_smallest_last(adj, verts):
     """(vertex, live degree) pairs in smallest-last peeling order of the graph

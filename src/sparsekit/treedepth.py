@@ -65,14 +65,6 @@ class EliminationForest:
         """Depth of v counted in vertices (roots have depth 1)."""
         return self._depth[v]
 
-    def ancestors(self, v):
-        out = []
-        p = self.parent[v]
-        while p != NO_PARENT:
-            out.append(p)
-            p = self.parent[p]
-        return out
-
     def is_ancestor(self, a, v):
         while v != NO_PARENT:
             if v == a:

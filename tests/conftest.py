@@ -5,7 +5,9 @@ Oracles here deliberately re-derive values by the dumbest correct method
 checked against something that cannot share their bugs.
 """
 
+import os
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,17 @@ from sparsekit import Graph, bounded_degree_graph, random_tree, triangulation
 from sparsekit.graphs import subset_components
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import treedepth_at_most
+
+
+def cli_env(**extra):
+    """Environment for a child `python -m sparsekit`: this process's, with
+    the package's source directory at the front of PYTHONPATH (pytest's
+    pythonpath setting reaches only the test process), plus `extra`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.update(extra)
+    return env
 
 
 def random_graph(n, edge_percent, seed):
@@ -132,8 +145,9 @@ def orient_smallest_last_oracle(edges):
 # ---------------------------------------------------------------------------
 # LTD verification oracle: the full lexicographic scan over every color set of
 # size <= p, splitting each into components and testing every component
-# larger than the budget, kept to check the connected-color-set decision of
-# verify_ltd against; returns (ok, counterexample)
+# larger than the budget; returns (ok, counterexample). It pins both halves of
+# verify_ltd: the decision from the connected color sets and the
+# counterexample from the superset rule
 
 def verify_ltd_oracle(g, p, coloring):
     def color_subsets_lex(colors_present):

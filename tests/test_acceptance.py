@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -47,7 +46,7 @@ from sparsekit.density import top_grad
 from sparsekit.graphs import catalog_names, chromatic_number
 from sparsekit.homomorphism import core
 
-from conftest import all_graphs_up_to_iso, random_graph, treedepth_oracle
+from conftest import all_graphs_up_to_iso, cli_env, random_graph, treedepth_oracle
 
 
 def _report(number, title):
@@ -306,11 +305,9 @@ DETERMINISM_INVOCATIONS = [
 
 
 def _invoke(args, hashseed, threads):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hashseed
     proc = subprocess.run(
         [sys.executable, "-m", "sparsekit", *args, "--threads", threads],
-        capture_output=True, env=env,
+        capture_output=True, env=cli_env(PYTHONHASHSEED=hashseed),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -8,11 +8,11 @@ import pytest
 
 from sparsekit import named, serialize_edge_list
 
+from conftest import cli_env
+
 
 def run_cli(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
+    env = cli_env()
     env.setdefault("PYTHONHASHSEED", "0")
     if env_extra:
         env.update(env_extra)

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from sparsekit import (
     Coloring,
     Graph,
+    bounded_degree_graph,
     chi_p_bruteforce,
     cluster_cover,
     degeneracy_orientation,
@@ -15,6 +18,7 @@ from sparsekit import (
     verify_cluster_cover,
     verify_ltd,
 )
+from sparsekit import decomposition
 from sparsekit.decomposition import (
     ClusterCover,
     LtdVerificationError,
@@ -202,6 +206,74 @@ def test_verify_ltd_exact_test_on_component_without_unique_color():
     out = verify_ltd(named("C_4"), 2, Coloring([1, 2, 1, 2], palette=3))
     assert not out.ok
     assert out.counterexample == (1, 2)
+
+
+def _paths(*paths):
+    """Disjoint paths, each given by the colors along it; a one-color path
+    is an isolated vertex."""
+    edges, colors = [], []
+    for path in paths:
+        start = len(colors)
+        edges += [(start + i, start + i + 1) for i in range(len(path) - 1)]
+        colors += path
+    return Graph(len(colors), edges), Coloring(colors)
+
+
+@pytest.mark.parametrize("paths, p, expected", [
+    # td(P_4) = 3 > 2, so the palette's smallest color joins the spectrum
+    (([5] * 4, [0]), 3, (0, 5)),
+    # td(P_8) = 4 would admit two more colors; p = 2 caps it at one
+    (([5] * 8, [0], [1], [2]), 2, (0, 5)),
+    # td(P_8) - 1 = 3 caps it at two more colors, although p = 4
+    (([5] * 8, [0], [1], [2]), 4, (0, 1, 5)),
+    # a color above max(J) would make the set larger: 9 stays out
+    (([3, 4] * 4, [0], [9]), 3, (0, 3, 4)),
+    # a color between those of J joins too, td(P_16) = 5
+    (([2, 4] * 8, [0], [3], [9]), 4, (0, 2, 3, 4)),
+    # the monochromatic edge gives (7,), the bicolored P_8 the smaller set
+    (([7, 7], [3, 4] * 4, [0]), 3, (0, 3, 4)),
+])
+def test_verify_ltd_counterexample_grows_the_spectrum(paths, p, expected):
+    g, coloring = _paths(*paths)
+    out = verify_ltd(g, p, coloring)
+    assert (out.ok, out.counterexample) == (False, expected)
+    assert verify_ltd_oracle(g, p, coloring) == (False, expected)
+
+
+def test_verify_ltd_counterexample_fast_with_one_bad_edge():
+    # 144 colors and one monochromatic edge: the smallest violating set is
+    # the edge's color alone, but scanning every set of at most 4 colors
+    # lexicographically up to it takes over a minute
+    g = bounded_degree_graph(150, 4, 1)
+    augmented = tf_augment(degeneracy_orientation(g), 3).underlying_graph()
+    colors = list(greedy_smallest_last_coloring(augmented).assignment)
+    assert len(set(colors)) == 144
+    u, v = next((u, v) for u, v in g.edges if 133 in (colors[u], colors[v]))
+    colors[u] = colors[v] = 133
+    coloring = Coloring(colors)
+    start = time.monotonic()
+    out = verify_ltd(g, 4, coloring)
+    assert (out.ok, out.counterexample) == (False, (133,))
+    assert time.monotonic() - start < 5
+    out = verify_ltd(g, 2, coloring)
+    assert (out.ok, out.counterexample) == verify_ltd_oracle(g, 2, coloring) == (False, (133,))
+
+
+def test_ltd_coloring_derives_a_counterexample_only_to_raise(monkeypatch):
+    calls = []
+    derive = decomposition._smallest_violation
+
+    def counted(*args):
+        calls.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(decomposition, "_smallest_violation", counted)
+    # rounds 0 and 1 fail on C_6 at p = 3, round 2 verifies
+    assert ltd_coloring(named("C_6"), 3).rounds_used == 2
+    assert calls == []
+    with pytest.raises(LtdVerificationError):
+        ltd_coloring(named("C_6"), 3, max_rounds=1, exact_fallback_limit=0)
+    assert len(calls) == 1
 
 
 def test_ltd_failure_counterexample_is_lexicographically_smallest(small_graph_sample):
