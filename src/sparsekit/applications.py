@@ -123,30 +123,20 @@ def neighborhood_cover(g, r):
         raise ValidationError("r must be >= 1")
     balls_r = [set(ball(g, v, r)) for v in range(g.n)]
     clusters = []
-    cluster_sets = []
     covered = [False] * g.n
     while True:
         pending = next((v for v in range(g.n) if not covered[v]), None)
         if pending is None:
             break
         mset = balls_r[pending]
-        members = sorted(mset)
-        radius = _cluster_radius(g, members, pending)
-        clusters.append((members, pending, radius))
-        cluster_sets.append(mset)
+        # a shortest path from the center to a ball vertex stays in the
+        # ball, so its eccentricity in the cluster is its largest distance
+        dist = bfs_distances(g, pending)
+        clusters.append((sorted(mset), pending, max(dist[v] for v in mset)))
         for v in range(g.n):
             if not covered[v] and balls_r[v] <= mset:
                 covered[v] = True
     return Cover(clusters, r)
-
-
-def _cluster_radius(g, members, center):
-    """Eccentricity of the center inside the induced cluster."""
-    sub, back = induced_subgraph(g, members)
-    pos = {v: i for i, v in enumerate(back)}
-    dist = bfs_distances(sub, pos[center])
-    finite = [d for d in dist if d is not INFINITY]
-    return max(finite) if finite else 0
 
 
 def verify_cover(g, cover):

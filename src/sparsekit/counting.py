@@ -8,13 +8,11 @@ whose induced subgraph is isomorphic to the pattern. Both are computed as
 labeled-embedding counts divided by the pattern's automorphism count.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .decomposition import ltd_coloring
 from .errors import BudgetExceededError, SizeLimitError, ValidationError
 from .graphs import (
-    Graph,
     anchored_order,
     colorset_components,
     induced_subgraph,
@@ -28,17 +26,19 @@ MODE_INDUCED = "induced"
 _COUNT_LIMIT = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
 class CountQuery:
-    pattern: Graph
-    host: Graph
-    mode: str = MODE_SUBGRAPH
+    """Count the copies of pattern in host, as subgraphs or induced."""
 
-    def __post_init__(self):
-        if self.mode not in (MODE_SUBGRAPH, MODE_INDUCED):
-            raise ValidationError(f"unknown counting mode {self.mode!r}")
-        if self.pattern.n < 1:
+    __slots__ = ("pattern", "host", "mode")
+
+    def __init__(self, pattern, host, mode=MODE_SUBGRAPH):
+        if mode not in (MODE_SUBGRAPH, MODE_INDUCED):
+            raise ValidationError(f"unknown counting mode {mode!r}")
+        if pattern.n < 1:
             raise ValidationError("pattern must have at least one vertex")
+        self.pattern = pattern
+        self.host = host
+        self.mode = mode
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +237,19 @@ def _count_general_pattern(g, h, colors, induced):
 
 def _count_exact_colorset(g, h, vertices, subset, colors, induced):
     """Labeled embeddings of h into G[vertices] whose color image is exactly
-    the given color subset."""
-    sub, back = induced_subgraph(g, vertices)
-    parent = treedepth_at_most(sub, len(subset))
+    the given color subset. The DP runs over an elimination forest of
+    G[vertices] on g's own ids, without a copy."""
+    parent = treedepth_at_most(g, len(subset), vertices)
     if parent is None:
         raise ValidationError(
             "decomposition invalid: a color subset induces tree-depth above its size")
     color_bit = {c: i for i, c in enumerate(subset)}
-    vcolor = [color_bit[colors[back[i]]] for i in range(sub.n)]
-    children = [[] for _ in range(sub.n)]
+    vcolor = {v: color_bit[colors[v]] for v in vertices}
+    children = {v: [] for v in vertices}
     roots = []
-    for v, p in enumerate(parent):
+    # ascending ids fix the order in which the DP merges children and roots
+    for v in sorted(vertices):
+        p = parent[v]
         if p == NO_PARENT:
             roots.append(v)
         else:
@@ -264,8 +266,7 @@ def _count_exact_colorset(g, h, vertices, subset, colors, induced):
         low = u & -u
         nbr_union[u] = nbr_union[u ^ low] | hedge_mask[low.bit_length() - 1]
     used_mask = (1 << hn) - 1
-
-    sub_adj = sub.adj_mask
+    adj_mask = g.adj_mask
 
     def merge(acc, vec):
         # state key packs (color_mask << hn) | used_mask
@@ -289,7 +290,7 @@ def _count_exact_colorset(g, h, vertices, subset, colors, induced):
 
     def options_at(v, chain):
         opts = [None]
-        adj_v = sub_adj[v]
+        adj_v = adj_mask[v]
         for hv in range(hn):
             hedges = hedge_mask[hv]
             fits = True
@@ -310,7 +311,7 @@ def _count_exact_colorset(g, h, vertices, subset, colors, induced):
         return opts
 
     def subtree(v, chain):
-        # chain: tuple of (sub-vertex, pattern-vertex) assigned ancestors
+        # chain: tuple of (host vertex, pattern vertex) assigned ancestors
         options = options_at(v, chain)
         kids = children[v]
         if not kids:

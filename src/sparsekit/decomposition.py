@@ -39,7 +39,6 @@ from .graphs import (
     colorset_components,
     connected_subsets,
     degeneracy_orientation,
-    induced_subgraph,
     peel_smallest_last,
     subset_components,
 )
@@ -85,14 +84,15 @@ class LtdVerification:
     """Verifier outcome: truthy iff every color subset passed.
 
     counterexample is the lexicographically smallest violating color set, or
-    None; a failing outcome derives it on first read, by the superset rule.
+    None; a failing outcome keeps only (g, p, coloring) and derives it on
+    first read, by the superset rule.
     """
 
     __slots__ = ("ok", "_failed", "_counterexample")
 
     def __init__(self, ok, failed=None):
         self.ok = ok
-        self._failed = failed  # (g, p, coloring, memo) of a failing one
+        self._failed = failed  # (g, p, coloring) of a failing one
         self._counterexample = None
 
     @property
@@ -215,21 +215,21 @@ def verify_ltd(g, p, coloring):
     Returns an LtdVerification. The yes/no answer comes from the connected
     color sets alone (see the module docstring): a component of G[I] is
     tested exactly only when it uses every color of I, has more than |I|
-    vertices and no color occurring once in it. The counterexample of a
-    failing coloring, the lexicographically smallest violating color set,
-    comes from the same sets by the superset rule, on first read.
+    vertices and no color occurring once in it; treedepth_at_most decides
+    it on g's own ids. The counterexample of a failing coloring, the
+    lexicographically smallest violating color set, comes from the same
+    sets by the superset rule, on first read.
     """
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
     if p < 1:
         raise ValidationError("p must be >= 1")
-    memo = {}
-    if _ltd_holds(g, p, coloring.assignment, memo):
+    if _ltd_holds(g, p, coloring.assignment):
         return LtdVerification(True)
-    return LtdVerification(False, failed=(g, p, coloring, memo))
+    return LtdVerification(False, failed=(g, p, coloring))
 
 
-def _ltd_holds(g, p, colors, memo):
+def _ltd_holds(g, p, colors):
     if any(colors[u] == colors[v] for u, v in g.edges):
         return False
     for subset, comps in colorset_components(g, colors, p):
@@ -237,12 +237,12 @@ def _ltd_holds(g, p, colors, memo):
         for comp in comps:
             if len(comp) <= budget or 1 in Counter(colors[v] for v in comp).values():
                 continue
-            if not _component_td_at_most(g, tuple(sorted(comp)), budget, memo):
+            if treedepth_at_most(g, budget, comp) is None:
                 return False
     return True
 
 
-def _smallest_violation(g, p, coloring, memo):
+def _smallest_violation(g, p, coloring):
     """The lexicographically smallest color set inducing td above its size,
     for a failing coloring, by the superset rule of the module docstring."""
     classes = coloring.classes()
@@ -262,27 +262,14 @@ def _smallest_violation(g, p, coloring, memo):
                 break
             if len(comp) <= len(spectrum):
                 continue
-            comp = tuple(sorted(comp))
             k = len(spectrum) - 1  # td(comp) > k once a test has failed
-            while k < p and not _component_td_at_most(g, comp, k + 1, memo):
+            while k < p and treedepth_at_most(g, k + 1, comp) is None:
                 k += 1
             if k >= len(spectrum):
                 best = min(best, smallest_superset(spectrum, k))
     if best[0] > palette[-1]:
         raise AssertionError("failing coloring without a violating color set")
     return best
-
-
-def _component_td_at_most(g, comp, budget, memo):
-    """td(G[comp]) <= budget for a connected comp, with a shared memo."""
-    key = (comp, budget)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    sub, _ = induced_subgraph(g, comp)
-    ok = treedepth_at_most(sub, budget) is not None
-    memo[key] = ok
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +290,23 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8):
         raise ValidationError("p must be >= 1")
     if max_rounds is None:
         max_rounds = max(0, 2 * p - 2)
+    if max_rounds < 0:
+        raise ValidationError("max_rounds must be >= 0")
     orientation = degeneracy_orientation(g)
-    last = None
     for r in range(max_rounds + 1):
         if r > 0:
-            orientation = tf_augment(orientation, 1,
-                                     round_cap=max(max_rounds, 12))
+            orientation = tf_augment(orientation, 1)
         coloring = greedy_smallest_last_coloring(orientation.underlying_graph())
         outcome = verify_ltd(g, p, coloring)
         if outcome:
             return LtdDecomposition(coloring, p, rounds_used=r, verified=True)
-        last = outcome
     if g.n <= exact_fallback_limit:
         _, coloring = _chi_p_search(g, p)
         return LtdDecomposition(coloring, p, rounds_used=max_rounds,
                                 verified=True)
     raise LtdVerificationError(
         f"no verified decomposition for p={p} within {max_rounds} rounds",
-        counterexample=last.counterexample,
+        counterexample=outcome.counterexample,
     )
 
 
@@ -411,11 +397,8 @@ def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):
         raise SizeLimitError("verify_cluster_cover enumeration budget exceeded")
     cluster_sets = [frozenset(c) for c in cover.clusters]
     for cluster in cover.clusters:
-        comps = subset_components(g, list(cluster))
-        if len(comps) != 1:
-            return False, ("cluster-td", list(cluster))
-        sub, _ = induced_subgraph(g, cluster)
-        if treedepth_at_most(sub, t) is None:
+        if (len(subset_components(g, cluster)) != 1
+                or treedepth_at_most(g, t, cluster) is None):
             return False, ("cluster-td", list(cluster))
     by_vertex = {}
     for i, cs in enumerate(cluster_sets):

@@ -45,13 +45,8 @@ def hom_exists(g, h, source_limit=200, target_limit=32, budget=2_000_000):
         return None
     full = (1 << h.n) - 1
     # candidate targets must have enough degree
-    domains = []
-    for v in range(g.n):
-        dom = 0
-        for t in range(h.n):
-            if h.degree(t) >= 1 or g.degree(v) == 0:
-                dom |= 1 << t
-        domains.append(dom if g.degree(v) else full)
+    nonisolated = sum(1 << t for t in range(h.n) if h.degree(t))
+    domains = [nonisolated if g.degree(v) else full for v in range(g.n)]
 
     order, _ = anchored_order(g)
     nodes = [0]

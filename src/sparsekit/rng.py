@@ -49,16 +49,3 @@ class Xoshiro256:
             x = self.next_u64()
             if x < limit:
                 return x % n
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, seq):
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
-    def random(self):
-        """Float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)

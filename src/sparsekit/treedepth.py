@@ -5,7 +5,8 @@ The exact solver runs the delete-a-vertex recursion with memoization over
 connected vertex subsets encoded as bitmasks, splitting into components
 first. A separate bounded-depth decision procedure (`treedepth_at_most`)
 handles larger graphs when only td <= k for small k is in question, which
-is what the decomposition verifier needs.
+is what the decomposition verifier needs. It decides an induced subgraph
+G[S] on g's own ids from the vertex set S, without copying it.
 """
 
 from .errors import SizeLimitError, ValidationError
@@ -203,17 +204,27 @@ def treedepth_exact(g, exact_limit=18):
     return value, forest
 
 
-def treedepth_at_most(g, k, _memo=None):
-    """Decide td(g) <= k without a size limit on n (cost grows with k).
+def treedepth_at_most(g, k, vertices=None):
+    """Decide td(G[vertices]) <= k without a size limit on n (cost grows
+    with k); `vertices` defaults to all of g.
 
-    Used by the decomposition verifier where k is small (the number of
-    color classes) but the induced subgraph may be large. Returns a witness
-    forest as a parent list, or None.
+    Used by the decomposition verifier, cluster covers and counting, where k
+    is small (the number of color classes) but the vertex set may be large.
+    The search runs on g's own ids, so the induced subgraph is never copied.
+    Returns a witness forest as a parent list over g's ids, NO_PARENT for
+    roots and for vertices outside the set, or None.
     """
+    if vertices is None:
+        vertices = range(g.n)
+    else:
+        vertices = sorted(set(vertices))
+        for v in vertices:
+            if not (0 <= v < g.n):
+                raise ValidationError(f"vertex {v} out of range")
     if k < 0:
         return None
     parent = [NO_PARENT] * g.n
-    memo = {} if _memo is None else _memo
+    memo = {}
 
     def solve(vertices, budget, par):
         # vertices: sorted tuple forming a connected induced subgraph
@@ -265,7 +276,7 @@ def treedepth_at_most(g, k, _memo=None):
 
     ok = all(
         solve(comp, k, NO_PARENT)
-        for comp in subset_components(g, range(g.n))
+        for comp in subset_components(g, vertices)
     )
     return parent if ok else None
 

@@ -22,7 +22,7 @@ from sparsekit import (
     verify_dn_coloring,
 )
 from sparsekit.applications import Cover, ball
-from sparsekit.graphs import catalog_names
+from sparsekit.graphs import bfs_distances, catalog_names, induced_subgraph
 
 from conftest import clique_number_oracle
 
@@ -149,6 +149,10 @@ def test_cover_valid_across_graphs(r):
         cov = neighborhood_cover(g, r)
         ok, witness = verify_cover(g, cov)
         assert ok, (name, r, witness)
+        for vs, center, radius in cov.clusters:
+            # the center's eccentricity inside the induced cluster
+            sub, back = induced_subgraph(g, vs)
+            assert radius == max(bfs_distances(sub, back.index(center))), (name, r)
 
 
 def test_petersen_cover_meets_lemma_bound():

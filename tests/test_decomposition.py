@@ -24,7 +24,7 @@ from sparsekit.decomposition import (
     LtdVerificationError,
     _orient_smallest_last,
 )
-from sparsekit.errors import SizeLimitError
+from sparsekit.errors import SizeLimitError, ValidationError
 from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import greedy_smallest_last_coloring
@@ -340,6 +340,13 @@ def test_chi_p_chain_and_td(small_graph_sample):
         assert values == sorted(values)
         td, _ = treedepth_exact(g)
         assert values[-1] == td == max(values)
+
+
+def test_ltd_coloring_rejects_negative_max_rounds():
+    # a negative round count used to skip the loop and fail on a missing
+    # outcome; the Petersen graph is too large for the exact fallback
+    with pytest.raises(ValidationError):
+        ltd_coloring(named("Petersen"), 2, max_rounds=-1)
 
 
 def test_ltd_failure_reports_counterexample():

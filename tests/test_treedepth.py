@@ -10,6 +10,7 @@ from sparsekit import (
     ValidationError,
     centered_coloring_from_forest,
     dfs_height_bounds,
+    ltd_coloring,
     minimum_centered_palette,
     minimum_ranking_palette,
     named,
@@ -19,6 +20,7 @@ from sparsekit import (
     verify_elimination_forest,
     verify_vertex_ranking,
 )
+from sparsekit.graphs import colorset_components, induced_subgraph, subset_components
 from sparsekit.treedepth import NO_PARENT, ranking_from_forest
 
 from conftest import random_graph, treedepth_oracle
@@ -248,3 +250,51 @@ def test_treedepth_at_most_agrees_with_exact(small_graph_sample):
 def test_treedepth_at_most_huge_star():
     assert treedepth_at_most(named("star_80"), 2) is not None
     assert treedepth_at_most(named("star_80"), 1) is None
+
+
+def _check_on_vertex_set(g, vertices, k):
+    """treedepth_at_most on a vertex set of g against the induced copy."""
+    sub, back = induced_subgraph(g, vertices)
+    parent = treedepth_at_most(g, k, vertices)
+    assert (parent is not None) == (treedepth_at_most(sub, k) is not None)
+    if parent is None:
+        return False
+    inside = set(back)
+    assert all(parent[v] == NO_PARENT for v in range(g.n) if v not in inside)
+    pos = {v: i for i, v in enumerate(back)}
+    forest = EliminationForest(
+        pos[parent[v]] if parent[v] != NO_PARENT else NO_PARENT for v in back)
+    assert forest.height <= k
+    assert verify_elimination_forest(sub, forest)
+    return True
+
+
+def test_treedepth_at_most_on_vertex_sets(peel_sample):
+    # every component of G[I], |I| <= p, of the decompositions ltd_coloring
+    # builds: the color classes' components and the full-spectrum ones of
+    # the connected color sets; plus G[I] for the p smallest colors, which
+    # is usually disconnected
+    verdicts = {True: 0, False: 0}
+    disconnected = 0
+    for g in peel_sample:
+        for p in (2, 3):
+            colors = ltd_coloring(g, p).coloring.assignment
+            sets = [((c,), subset_components(g, [v for v in range(g.n) if colors[v] == c]))
+                    for c in sorted(set(colors))]
+            sets += list(colorset_components(g, colors, p))
+            for subset, comps in sets:
+                for comp in comps:
+                    for k in (len(subset) - 1, len(subset)):
+                        verdicts[_check_on_vertex_set(g, comp, k)] += 1
+            union = [v for v in range(g.n) if colors[v] < p]
+            disconnected += len(subset_components(g, union)) > 1
+            assert _check_on_vertex_set(g, union, p)
+    assert verdicts[True] >= 20000 and verdicts[False] >= 10000, verdicts
+    assert disconnected >= 100, disconnected
+
+
+def test_treedepth_at_most_rejects_out_of_range_vertices():
+    g = named("P_4")
+    for vertices in ([0, 4], [-1, 2]):
+        with pytest.raises(ValidationError):
+            treedepth_at_most(g, 3, vertices)
