@@ -66,6 +66,17 @@ def load_coloring(spec):
     return treedepth.Coloring(colors, palette=palette)
 
 
+def int_list(text):
+    """Comma-separated integers; a bad token is a usage error."""
+    return [int(tok) for tok in text.split(",") if tok]
+
+
+def given(args, name):
+    """The option as a keyword if it was given; otherwise the library default."""
+    value = getattr(args, name)
+    return {} if value is None else {name: value}
+
+
 def emit(payload, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
@@ -93,8 +104,7 @@ def emit_csv(rows, columns, stream=None):
 
 def cmd_td(args):
     g = load_graph(args.graph)
-    limit = args.exact_limit if args.exact_limit else 18
-    value, forest = treedepth.treedepth_exact(g, exact_limit=limit)
+    value, forest = treedepth.treedepth_exact(g, **given(args, "exact_limit"))
     lower, upper, _ = treedepth.dfs_height_bounds(g)
     return EXIT_OK, {
         "treedepth": value,
@@ -159,13 +169,10 @@ def cmd_count(args):
 
 def cmd_density(args):
     g = load_graph(args.graph)
-    kwargs = {}
-    if args.exact_limit:
-        kwargs["exact_limit"] = args.exact_limit
     measures = {"grad": density.grad, "topgrad": density.top_grad,
                 "immgrad": density.imm_grad}
     if args.measure in measures:
-        value, model = measures[args.measure](g, args.r, **kwargs)
+        value, model = measures[args.measure](g, args.r, **given(args, "exact_limit"))
     else:  # nabla0
         value, witness = density.nabla0(g)
         return EXIT_OK, {
@@ -187,8 +194,7 @@ PROFILE_COLUMNS = ["family", "n", "m", "r", "density", "density_float",
 
 
 def cmd_density_profile(args):
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    rows = density.density_profile(args.family, args.r, sizes)
+    rows = density.density_profile(args.family, args.r, args.sizes)
     if args.format == "csv":
         emit_csv(rows, PROFILE_COLUMNS)
         return EXIT_OK, None
@@ -227,8 +233,7 @@ def cmd_oddset(args):
 def cmd_hom(args):
     g = load_graph(args.source)
     h = load_graph(args.target)
-    budget = args.budget or 2_000_000
-    witness = homomorphism.hom_exists(g, h, budget=budget)
+    witness = homomorphism.hom_exists(g, h, **given(args, "budget"))
     return EXIT_OK, {
         "exists": witness is not None,
         "witness": [witness[v] for v in range(g.n)] if witness is not None else None,
@@ -256,9 +261,8 @@ def cmd_dual_check(args):
         else:
             specs.append(token)
     family = [load_graph(s) for s in specs]
-    budget = args.budget or 2_000_000
     report = homomorphism.dual_check(pattern, dual, family,
-                                     budgets={"budget": budget})
+                                     budgets=given(args, "budget"))
     report["family"] = specs
     if report["violations"] or report["pattern_maps_to_dual"]:
         return EXIT_FAILED, report
@@ -353,7 +357,8 @@ def build_parser():
                        help="logarithmic-density trajectory of a family")
     p.add_argument("--family", required=True)
     p.add_argument("-r", type=int, default=1)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
+    p.add_argument("--sizes", required=True, type=int_list,
+                   help="comma-separated sizes")
     p.set_defaults(func=cmd_density_profile)
 
     p = sub.add_parser("dncolor", parents=[common], help="exact-distance coloring")

@@ -136,7 +136,11 @@ class ClusterCover:
 # ---------------------------------------------------------------------------
 # transitive fraternal augmentation
 
-def tf_augment(orientation, rounds, round_cap=12):
+# The most augmentation rounds tf_augment runs; it refuses more.
+ROUND_CAP = 12
+
+
+def tf_augment(orientation, rounds):
     """Apply `rounds` augmentation rounds to an orientation.
 
     Per round, computed from the arcs present at the start of the round:
@@ -150,8 +154,8 @@ def tf_augment(orientation, rounds, round_cap=12):
     """
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
-    if rounds > round_cap:
-        raise SizeLimitError(f"augmentation round cap {round_cap} exceeded")
+    if rounds > ROUND_CAP:
+        raise SizeLimitError(f"augmentation round cap {ROUND_CAP} exceeded")
     arcs = dict.fromkeys(orientation.arcs)
     kind = dict(orientation.arc_kind)
     rnd = dict(orientation.arc_round)

@@ -361,6 +361,20 @@ def _is_forest(g):
     return g.m == g.n - len(subset_components(g, range(g.n)))
 
 
+def _unless_search(g, r, cls, name, exact_limit):
+    """The densest-subgraph model of class cls where it is optimal (r = 0 or
+    a forest); otherwise None, once g is within the search's size limit."""
+    if r < 0:
+        raise ValidationError("depth must be >= 0")
+    if g.n == 0:
+        raise ValidationError(f"{name} needs at least one vertex")
+    if r == 0 or _is_forest(g):
+        return _densest_model(g, r, cls)
+    if g.n > exact_limit:
+        raise SizeLimitError(f"{name} limited to {exact_limit} vertices for r >= 1, got {g.n}")
+    return None
+
+
 def grad(g, r, exact_limit=12):
     """Exact max density over depth-r shallow minors, with a witness model.
 
@@ -369,14 +383,9 @@ def grad(g, r, exact_limit=12):
     <= r (growing from the smallest unassigned vertex, so each family is
     visited once) with an upper-bound cut on the achievable density.
     """
-    if r < 0:
-        raise ValidationError("depth must be >= 0")
-    if g.n == 0:
-        raise ValidationError("grad needs at least one vertex")
-    if r == 0 or _is_forest(g):
-        return _densest_model(g, r, MinorModel)
-    if g.n > exact_limit:
-        raise SizeLimitError(f"grad limited to {exact_limit} vertices for r >= 1, got {g.n}")
+    found = _unless_search(g, r, MinorModel, "grad", exact_limit)
+    if found:
+        return found
     n, m = g.n, g.m
     adj = g.adj_mask
     by_lowest = [[] for _ in range(n)]
@@ -439,42 +448,73 @@ def grad(g, r, exact_limit=12):
 
 
 # ---------------------------------------------------------------------------
-# shallow topological minors
+# shallow topological minors and immersions
 
 def _edges_inside_mask(g, mask):
     return sum(bin(g.adj_mask[v] & mask).count("1")
                for v in mask_vertices(mask)) // 2
 
 
-def _paths_between(g, u, v, max_len, forbidden_interior):
-    """Simple u-v paths of length <= max_len whose interior avoids the
-    forbidden set, deduplicated by interior footprint."""
-    out = []
-    seen_footprints = set()
-    path = [u]
-    on_path = {u}
+def _edge_bits(g):
+    """Edge bit of each ordered vertex pair joined by an edge of g."""
+    bit = {}
+    for i, (u, v) in enumerate(g.edges):
+        bit[u, v] = bit[v, u] = 1 << i
+    return bit
 
-    def walk(x):
+
+def _paths_between(g, u, v, max_len, forbidden, edge_bit):
+    """Simple u-v paths of length <= max_len with no interior vertex in the
+    forbidden mask, one per interior vertex set, as (path, edge mask,
+    interior) triples."""
+    by_interior = {}
+    path = [u]
+
+    def walk(x, em):
         for w in g.adj[x]:
             if w == v:
-                if len(path) <= max_len:
-                    key = frozenset(path[1:])
-                    if key not in seen_footprints:
-                        seen_footprints.add(key)
-                        out.append(tuple(path) + (v,))
-                continue
-            if w in on_path or w in forbidden_interior:
-                continue
-            if len(path) >= max_len:
-                continue
-            path.append(w)
-            on_path.add(w)
-            walk(w)
-            path.pop()
-            on_path.remove(w)
+                interior = tuple(path[1:])
+                by_interior.setdefault(frozenset(interior),
+                                       (tuple(path) + (v,), em | edge_bit[x, v], interior))
+            elif not (w in path or forbidden >> w & 1 or len(path) >= max_len):
+                path.append(w)
+                walk(w, em | edge_bit[x, w])
+                path.pop()
 
-    walk(u)
-    return out
+    walk(u, 0)
+    return list(by_interior.values())
+
+
+def _pack_paths(pairs, cap, n):
+    """Most paths, at most one from each candidate list in pairs, that are
+    pairwise edge-disjoint with no vertex interior to more than cap of them
+    (exhaustive branch and bound over the lists in order)."""
+    load = [0] * n
+    chosen = []
+    best = []
+
+    def pack(idx, used_edges):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if idx == len(pairs):
+            return
+        if len(chosen) + (len(pairs) - idx) <= len(best):
+            return
+        for path, em, interior in pairs[idx]:
+            if em & used_edges or any(load[x] >= cap for x in interior):
+                continue
+            for x in interior:
+                load[x] += 1
+            chosen.append(path)
+            pack(idx + 1, used_edges | em)
+            chosen.pop()
+            for x in interior:
+                load[x] -= 1
+        pack(idx + 1, used_edges)
+
+    pack(0, 0)
+    return best
 
 
 def top_grad(g, r, exact_limit=12):
@@ -482,19 +522,15 @@ def top_grad(g, r, exact_limit=12):
 
     Enumerates principal-vertex sets (filtered by an achievability bound),
     then packs internally vertex-disjoint paths of length <= 2r+1 between
-    non-adjacent principal pairs by exhaustive search.
+    non-adjacent principal pairs by exhaustive search (every edge of such a
+    path meets its interior, so interior load 1 keeps them edge-disjoint).
     """
-    if r < 0:
-        raise ValidationError("depth must be >= 0")
-    if g.n == 0:
-        raise ValidationError("top_grad needs at least one vertex")
-    if r == 0 or _is_forest(g):
-        return _densest_model(g, r, TopoModel)
-    if g.n > exact_limit:
-        raise SizeLimitError(f"top_grad limited to {exact_limit} vertices for r >= 1, got {g.n}")
+    found = _unless_search(g, r, TopoModel, "top_grad", exact_limit)
+    if found:
+        return found
     n = g.n
-    max_len = 2 * r + 1
-    best = list(_densest_model(g, r, TopoModel))
+    edge_bit = _edge_bits(g)
+    best = _densest_model(g, r, TopoModel)
 
     subsets = []
     for mask in range(1, 1 << n):
@@ -508,69 +544,29 @@ def top_grad(g, r, exact_limit=12):
         if ub <= best[0]:
             continue
         principals = mask_vertices(mask)
-        pset = set(principals)
-        pairs = []
-        for u, v in combinations(principals, 2):
-            if g.has_edge(u, v):
-                continue
-            cands = _paths_between(g, u, v, max_len, pset)
-            if cands:
-                pairs.append(((u, v), cands))
+        pairs = [_paths_between(g, u, v, 2 * r + 1, mask, edge_bit)
+                 for u, v in combinations(principals, 2) if not g.has_edge(u, v)]
+        pairs = [cands for cands in pairs if cands]
         if not Fraction(e0 + len(pairs), k) > best[0]:
             continue
-        chosen = []
-        best_pack = [[]]
-
-        def pack(idx, used_mask):
-            if len(chosen) > len(best_pack[0]):
-                best_pack[0] = list(chosen)
-            if idx == len(pairs):
-                return
-            if len(chosen) + (len(pairs) - idx) <= len(best_pack[0]):
-                return
-            _, cands = pairs[idx]
-            for path in cands:
-                pm = mask_of(path[1:-1])
-                if pm & used_mask:
-                    continue
-                chosen.append(path)
-                pack(idx + 1, used_mask | pm)
-                chosen.pop()
-            pack(idx + 1, used_mask)
-
-        pack(0, 0)
-        linked = len(best_pack[0])
-        value = Fraction(e0 + linked, k)
+        packed = _pack_paths(pairs, 1, n)
+        value = Fraction(e0 + len(packed), k)
         if value > best[0]:
             paths = [(u, v) for u, v in combinations(principals, 2)
                      if g.has_edge(u, v)]
-            paths += [tuple(p) for p in best_pack[0]]
-            best[0] = value
-            best[1] = TopoModel(principals, paths, r)
-    return best[0], best[1]
+            best = value, TopoModel(principals, paths + packed, r)
+    return best
 
-
-# ---------------------------------------------------------------------------
-# shallow immersions
 
 def imm_grad(g, r, exact_limit=10):
     """Exact max density over depth-r shallow immersions: edge-disjoint
     paths of length <= 2r+1 with per-vertex interior load <= r."""
-    if r < 0:
-        raise ValidationError("depth must be >= 0")
-    if g.n == 0:
-        raise ValidationError("imm_grad needs at least one vertex")
-    if r == 0 or _is_forest(g):
-        return _densest_model(g, r, ImmersionModel)
-    if g.n > exact_limit:
-        raise SizeLimitError(f"imm_grad limited to {exact_limit} vertices for r >= 1, got {g.n}")
+    found = _unless_search(g, r, ImmersionModel, "imm_grad", exact_limit)
+    if found:
+        return found
     n, m = g.n, g.m
-    max_len = 2 * r + 1
-    edge_id = {}
-    for i, (u, v) in enumerate(g.edges):
-        edge_id[(u, v)] = i
-        edge_id[(v, u)] = i
-    best = list(_densest_model(g, r, ImmersionModel))
+    edge_bit = _edge_bits(g)
+    best = _densest_model(g, r, ImmersionModel)
 
     subsets = []
     for mask in range(1, 1 << n):
@@ -583,55 +579,16 @@ def imm_grad(g, r, exact_limit=10):
         if ub <= best[0]:
             continue
         principals = mask_vertices(mask)
-        pairs = []
-        for u, v in combinations(principals, 2):
-            cands = _paths_between(g, u, v, max_len, frozenset())
-            if cands:
-                entries = []
-                seen_foot = set()
-                for path in cands:
-                    em = 0
-                    for a, b in zip(path, path[1:]):
-                        em |= 1 << edge_id[(a, b)]
-                    if em in seen_foot:
-                        continue
-                    seen_foot.add(em)
-                    entries.append((path, em, path[1:-1]))
-                pairs.append(((u, v), entries))
+        pairs = [_paths_between(g, u, v, 2 * r + 1, 0, edge_bit)
+                 for u, v in combinations(principals, 2)]
+        pairs = [cands for cands in pairs if cands]
         if not Fraction(len(pairs), k) > best[0]:
             continue
-        load = [0] * n
-        chosen = []
-        best_pack = [[]]
-
-        def pack(idx, used_edges):
-            if len(chosen) > len(best_pack[0]):
-                best_pack[0] = list(chosen)
-            if idx == len(pairs):
-                return
-            if len(chosen) + (len(pairs) - idx) <= len(best_pack[0]):
-                return
-            _, entries = pairs[idx]
-            for path, em, interior in entries:
-                if em & used_edges:
-                    continue
-                if any(load[x] + 1 > r for x in interior):
-                    continue
-                for x in interior:
-                    load[x] += 1
-                chosen.append(path)
-                pack(idx + 1, used_edges | em)
-                chosen.pop()
-                for x in interior:
-                    load[x] -= 1
-            pack(idx + 1, used_edges)
-
-        pack(0, 0)
-        value = Fraction(len(best_pack[0]), k)
+        packed = _pack_paths(pairs, r, n)
+        value = Fraction(len(packed), k)
         if value > best[0]:
-            best[0] = value
-            best[1] = ImmersionModel(principals, [tuple(p) for p in best_pack[0]], r)
-    return best[0], best[1]
+            best = value, ImmersionModel(principals, packed, r)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +632,8 @@ def density_profile(family, r, sizes, exact_limit=12):
     subgraph), flagged by the `exact` column. log_density is
     log(size)/log(order) of the witness minor.
     """
+    if r < 0:
+        raise ValidationError("depth must be >= 0")
     rows = []
     for size in sizes:
         g, planted = _profile_graph(family, size)

@@ -127,11 +127,15 @@ def test_density_nabla0_long_path():
 
 
 def test_refusal_exit_code():
-    code, out, err = run_cli("td", "--exact-limit", "5", "named:K_8")
-    assert code == 3 and out == ""
-    payload = json.loads(err)
-    check("error", payload)
-    assert payload["error"] == "SizeLimitError"
+    # a limit of 0 is a limit, not the default
+    for args in (["td", "--exact-limit", "5", "named:K_8"],
+                 ["td", "--exact-limit", "0", "named:P_3"],
+                 ["density", "-r", "1", "--exact-limit", "0", "named:C_5"]):
+        code, out, err = run_cli(*args)
+        assert code == 3 and out == "", args
+        payload = json.loads(err)
+        check("error", payload)
+        assert payload["error"] == "SizeLimitError"
 
 
 def test_usage_exit_code():
@@ -143,10 +147,13 @@ def test_usage_exit_code():
 
 
 def test_indeterminate_exit_code():
-    code, _, err = run_cli("hom", "--budget", "3", "named:grid_4x4", "named:C_5")
-    assert code == 4
-    payload = json.loads(err)
-    assert payload["error"] == "BudgetExceededError"
+    # a budget of 0 is a budget, not the default
+    for args in (["hom", "--budget", "3", "named:grid_4x4", "named:C_5"],
+                 ["hom", "--budget", "0", "named:C_5", "named:K_3"]):
+        code, _, err = run_cli(*args)
+        assert code == 4, args
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceededError"
 
 
 def test_verification_failure_exit_code(tmp_path):
@@ -272,6 +279,8 @@ BAD_INPUTS = [
     ("graph-not-utf8", b"0 1\n1 \xff\xfe\n", ["td", "{file}"]),
     ("graph-directory", b"", ["td", "{dir}"]),
     ("graph-missing", b"", ["td", "{dir}/no_such_graph.el"]),
+    ("profile-sizes-not-integers", b"",
+     ["density-profile", "--family", "grids", "--sizes", "a,b"]),
 ]
 
 

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from sparsekit import (
     SizeLimitError,
+    ValidationError,
     density_profile,
     grad,
     imm_grad,
@@ -14,6 +17,7 @@ from sparsekit import (
     subdivide,
 )
 from sparsekit.density import top_grad
+from sparsekit.graphs import catalog_names
 
 from conftest import random_graph
 
@@ -165,6 +169,21 @@ def test_monotone_in_depth():
     assert ims == sorted(ims)
 
 
+def test_path_packing_witnesses_pinned():
+    # The values and witness models of both path-packing searches on every
+    # catalog graph of at most 9 vertices, pinned by digest; Petersen (10
+    # vertices) would add over a minute of imm_grad.
+    rows = []
+    for name in catalog_names(max_n=9):
+        g = named(name)
+        for r in (1, 2):
+            for fn in (top_grad, imm_grad):
+                value, model = fn(g, r)
+                rows.append([name, r, fn.__name__, str(value), model.to_json()])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "d07130cfa840bf0487e6fee8fa6b76344925285645dfc081ded4ecf3f5376e3a"
+
+
 def test_models_reject_planted_violations():
     from sparsekit.density import ImmersionModel, MinorModel, TopoModel
 
@@ -231,6 +250,14 @@ def test_profile_grids_approach_one():
     # settles toward 1 as the side grows
     assert all(b <= a for a, b in zip(logs, logs[1:]))
     assert 0.95 < logs[-1] < 1.2
+
+
+def test_profile_rejects_negative_depth():
+    # sub_1(K_8) would take the planted-witness branch at r >= 1 and the
+    # 5x5 grid the densest-subgraph branch; grid_2x2 is exact
+    for family, size in (("subdivided_cliques(1)", 8), ("grids", 5), ("grids", 2)):
+        with pytest.raises(ValidationError, match="depth must be >= 0"):
+            density_profile(family, -1, [size])
 
 
 def test_profile_bounded_degree():
