@@ -38,16 +38,11 @@ from .graphs import (
     Orientation,
     colorset_components,
     connected_subsets,
-    degeneracy_orientation,
     peel_smallest_last,
+    smallest_last_order,
     subset_components,
 )
-from .treedepth import (
-    Coloring,
-    bitmask_td_solver,
-    greedy_smallest_last_coloring,
-    treedepth_at_most,
-)
+from .treedepth import Coloring, _greedy_coloring, bitmask_td_solver, treedepth_at_most
 
 
 class LtdVerificationError(SparsekitError):
@@ -150,53 +145,67 @@ def tf_augment(orientation, rounds):
     Transitive arcs are applied first in sorted order (first orientation of
     a pair wins); the round's new fraternal edges are then oriented by a
     smallest-last peeling of the graph they form, which greedily keeps
-    in-degrees low. Stops early at a fixpoint.
+    in-degrees low. Stops early at a fixpoint. Each round is _tf_round on
+    the orientation's neighbour sets.
     """
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
     if rounds > ROUND_CAP:
         raise SizeLimitError(f"augmentation round cap {ROUND_CAP} exceeded")
-    arcs = dict.fromkeys(orientation.arcs)
+    out, inn = _neighbour_sets(orientation.n, orientation.arcs)
+    arcs = list(orientation.arcs)
     kind = dict(orientation.arc_kind)
     rnd = dict(orientation.arc_round)
-    adjacent = {frozenset(a) for a in arcs}
     base_round = max(rnd.values(), default=0)
-
     for step in range(1, rounds + 1):
-        this_round = base_round + step
-        out = {}
-        inn = {}
-        for u, v in arcs:
-            out.setdefault(u, []).append(v)
-            inn.setdefault(v, []).append(u)
-        transitive = set()
-        for v, heads in out.items():
-            for u in inn.get(v, ()):
-                for w in heads:
-                    if u != w and frozenset((u, w)) not in adjacent:
-                        transitive.add((u, w))
-        fraternal = set()
-        for v, tails in inn.items():
-            for u, w in combinations(sorted(tails), 2):
-                if frozenset((u, w)) not in adjacent:
-                    fraternal.add((u, w))
+        transitive, fraternal = _tf_round(out, inn)
         if not transitive and not fraternal:
             break
-        for a in sorted(transitive):
-            pair = frozenset(a)
-            if pair in adjacent:
-                continue  # opposite direction was added first
-            adjacent.add(pair)
-            arcs[a] = None
-            kind[a] = ARC_TRANSITIVE
-            rnd[a] = this_round
-        fresh = [e for e in sorted(fraternal) if frozenset(e) not in adjacent]
-        for a in _orient_smallest_last(fresh):
-            adjacent.add(frozenset(a))
-            arcs[a] = None
-            kind[a] = ARC_FRATERNAL
-            rnd[a] = this_round
-    return Orientation(orientation.base, list(arcs), kind, rnd)
+        for added, label in ((transitive, ARC_TRANSITIVE), (fraternal, ARC_FRATERNAL)):
+            for a in added:
+                kind[a] = label
+                rnd[a] = base_round + step
+            arcs += added
+    return Orientation(orientation.base, arcs, kind, rnd)
+
+
+def _neighbour_sets(n, arcs):
+    """Per-vertex out- and in-neighbour sets of the arcs on 0..n-1."""
+    out = [set() for _ in range(n)]
+    inn = [set() for _ in range(n)]
+    for u, v in arcs:
+        out[u].add(v)
+        inn[v].add(u)
+    return out, inn
+
+
+def _tf_round(out, inn):
+    """One augmentation round, by tf_augment's rules, on the out- and
+    in-neighbour sets out[v] and inn[v], updated in place. Returns the
+    transitive and the fraternal arcs added, each in the order applied;
+    both are empty at a fixpoint."""
+    transitive = set()
+    fraternal = set()
+    for v, tails in enumerate(inn):
+        heads = out[v]
+        for u in tails:
+            # u != w throughout: no pair carries two arcs
+            transitive.update((u, w) for w in heads - out[u] - inn[u])
+        for u, w in combinations(sorted(tails), 2):
+            if w not in out[u] and w not in inn[u]:
+                fraternal.add((u, w))
+    added = []
+    for u, w in sorted(transitive):
+        if w not in inn[u]:  # else the opposite direction was added first
+            out[u].add(w)
+            inn[w].add(u)
+            added.append((u, w))
+    fresh = [(u, w) for u, w in sorted(fraternal) if w not in out[u] and w not in inn[u]]
+    fresh = _orient_smallest_last(fresh)
+    for u, w in fresh:
+        out[u].add(w)
+        inn[w].add(u)
+    return added, fresh
 
 
 def _orient_smallest_last(edges):
@@ -283,12 +292,12 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8):
     """Low tree-depth decomposition with parameter p.
 
     Seeds a degeneracy orientation, augments it round by round (0 up to
-    max_rounds, default 2p-2), greedily colors the augmented graph
-    smallest-last, and returns the first coloring that verifies. Starting
-    from zero rounds keeps the palette small on easy inputs (a proper
-    coloring already suffices for p = 1). If no round verifies, small
-    graphs fall back to the exact brute-force optimum; otherwise the last
-    counterexample is raised.
+    max_rounds, default 2p-2) in place with _tf_round, greedily colors the
+    augmented graph smallest-last, and returns the first coloring that
+    verifies. Starting from zero rounds keeps the palette small on easy
+    inputs (a proper coloring already suffices for p = 1). If no round
+    verifies, small graphs fall back to the exact brute-force optimum;
+    otherwise the last counterexample is raised.
     """
     if p < 1:
         raise ValidationError("p must be >= 1")
@@ -296,11 +305,17 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8):
         max_rounds = max(0, 2 * p - 2)
     if max_rounds < 0:
         raise ValidationError("max_rounds must be >= 0")
-    orientation = degeneracy_orientation(g)
+    order = smallest_last_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    out, inn = _neighbour_sets(g.n, ((u, v) if pos[u] < pos[v] else (v, u)
+                                     for u, v in g.edges))
+    adj = g.adj
     for r in range(max_rounds + 1):
         if r > 0:
-            orientation = tf_augment(orientation, 1)
-        coloring = greedy_smallest_last_coloring(orientation.underlying_graph())
+            _tf_round(out, inn)
+            adj = [heads | tails for heads, tails in zip(out, inn)]
+            order = [v for v, _ in reversed(peel_smallest_last(adj, range(g.n)))]
+        coloring = _greedy_coloring(adj, order)
         outcome = verify_ltd(g, p, coloring)
         if outcome:
             return LtdDecomposition(coloring, p, rounds_used=r, verified=True)

@@ -50,14 +50,11 @@ class Graph:
                 raise ValidationError("labels must be distinct")
         self.labels = labels
         adj = [[] for _ in range(n)]
-        mask = [0] * n
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._adj_mask = tuple(mask)
+        self._adj_mask = None  # built on first use
 
     @property
     def m(self):
@@ -69,13 +66,15 @@ class Graph:
 
     @property
     def adj_mask(self):
+        if self._adj_mask is None:
+            self._adj_mask = tuple(mask_of(a) for a in self._adj)
         return self._adj_mask
 
     def degree(self, v):
         return len(self._adj[v])
 
     def has_edge(self, u, v):
-        return bool(self._adj_mask[u] >> v & 1) if u != v else False
+        return bool((self._adj_mask or self.adj_mask)[u] >> v & 1) if u != v else False
 
     def label_of(self, v):
         return self.labels[v] if self.labels is not None else str(v)
@@ -549,14 +548,18 @@ class Orientation:
         self.arc_kind = dict(arc_kind)
         self.arc_round = dict(arc_round)
         pairs = set()
-        for u, v in self.arcs:
+        for a in self.arcs:
+            u, v = a
             if u == v:
                 raise ValidationError("loop arc")
+            if not (0 <= u < base.n and 0 <= v < base.n):
+                raise ValidationError(f"arc {a} endpoint out of range [0,{base.n})")
             key = (u, v) if u < v else (v, u)
             if key in pairs:
                 raise ValidationError(f"pair {key} oriented twice")
             pairs.add(key)
-        for a in self.arcs:
+            if a not in self.arc_kind or a not in self.arc_round:
+                raise ValidationError(f"arc {a} lacks a kind or a round")
             if self.arc_kind[a] == ARC_ORIGINAL and self.arc_round[a] != 0:
                 raise ValidationError("original arcs must have round 0")
 
@@ -592,7 +595,7 @@ def peel_smallest_last(adj, verts):
     """
     alive = set(verts)
     span = max(alive, default=0) + 1
-    deg = {v: sum(1 for w in adj[v] if w in alive) for v in alive}
+    deg = {v: len(alive.intersection(adj[v])) for v in alive}
     heap = [d * span + v for v, d in deg.items()]
     heapify(heap)
     peeled = []

@@ -311,10 +311,15 @@ def _dfs_tree(g, vertices, vset):
 
 def greedy_smallest_last_coloring(g):
     """Proper coloring in smallest-last order; palette <= degeneracy + 1."""
-    order = smallest_last_order(g)
-    colors = [-1] * g.n
+    return _greedy_coloring(g.adj, smallest_last_order(g))
+
+
+def _greedy_coloring(adj, order):
+    """Give each vertex of `order`, in turn, the smallest color none of its
+    already colored neighbours in adj carries; order lists every vertex."""
+    colors = [-1] * len(order)
     for v in order:
-        used = {colors[w] for w in g.adj[v] if colors[w] >= 0}
+        used = {colors[w] for w in adj[v] if colors[w] >= 0}
         c = 0
         while c in used:
             c += 1

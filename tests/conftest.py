@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from sparsekit import Graph, bounded_degree_graph, random_tree, triangulation
-from sparsekit.graphs import subset_components
+from sparsekit.decomposition import ROUND_CAP, _orient_smallest_last
+from sparsekit.errors import SizeLimitError, ValidationError
+from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation, subset_components
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import treedepth_at_most
 
@@ -140,6 +142,59 @@ def orient_smallest_last_oracle(edges):
                 arcs.append((w, v))
         alive.remove(v)
     return arcs
+
+
+# ---------------------------------------------------------------------------
+# augmentation oracle: tf_augment as it was before its rounds ran in place on
+# neighbour sets (arcs rebuilt into lists each round, adjacency as a set of
+# frozensets); _orient_smallest_last is checked against the peel oracle above
+
+def tf_augment_oracle(orientation, rounds):
+    if rounds < 0:
+        raise ValidationError("rounds must be >= 0")
+    if rounds > ROUND_CAP:
+        raise SizeLimitError(f"augmentation round cap {ROUND_CAP} exceeded")
+    arcs = dict.fromkeys(orientation.arcs)
+    kind = dict(orientation.arc_kind)
+    rnd = dict(orientation.arc_round)
+    adjacent = {frozenset(a) for a in arcs}
+    base_round = max(rnd.values(), default=0)
+
+    for step in range(1, rounds + 1):
+        this_round = base_round + step
+        out = {}
+        inn = {}
+        for u, v in arcs:
+            out.setdefault(u, []).append(v)
+            inn.setdefault(v, []).append(u)
+        transitive = set()
+        for v, heads in out.items():
+            for u in inn.get(v, ()):
+                for w in heads:
+                    if u != w and frozenset((u, w)) not in adjacent:
+                        transitive.add((u, w))
+        fraternal = set()
+        for v, tails in inn.items():
+            for u, w in combinations(sorted(tails), 2):
+                if frozenset((u, w)) not in adjacent:
+                    fraternal.add((u, w))
+        if not transitive and not fraternal:
+            break
+        for a in sorted(transitive):
+            pair = frozenset(a)
+            if pair in adjacent:
+                continue  # opposite direction was added first
+            adjacent.add(pair)
+            arcs[a] = None
+            kind[a] = ARC_TRANSITIVE
+            rnd[a] = this_round
+        fresh = [e for e in sorted(fraternal) if frozenset(e) not in adjacent]
+        for a in _orient_smallest_last(fresh):
+            adjacent.add(frozenset(a))
+            arcs[a] = None
+            kind[a] = ARC_FRATERNAL
+            rnd[a] = this_round
+    return Orientation(orientation.base, list(arcs), kind, rnd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import pytest
@@ -29,7 +31,12 @@ from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import greedy_smallest_last_coloring
 
-from conftest import orient_smallest_last_oracle, random_graph, verify_ltd_oracle
+from conftest import (
+    orient_smallest_last_oracle,
+    random_graph,
+    tf_augment_oracle,
+    verify_ltd_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +102,28 @@ def test_round_cap():
         tf_augment(o, 99)
 
 
+def _same_orientation(a, b):
+    return (a.arcs, a.arc_kind, a.arc_round) == (b.arcs, b.arc_kind, b.arc_round)
+
+
+def test_tf_augment_matches_oracle(peel_sample):
+    # 1, 2 and 3 rounds at once, and chained calls, which continue the round
+    # numbers from the input's last round
+    graphs = list(peel_sample)
+    for s in (1, 2, 3):
+        graphs += [bounded_degree_graph(150, 4, s), triangulation(120, s)]
+    for g in graphs:
+        o = degeneracy_orientation(g)
+        once = tf_augment(o, 1)
+        assert _same_orientation(once, tf_augment_oracle(o, 1)), g
+        for rounds in (2, 3):
+            assert _same_orientation(tf_augment(o, rounds),
+                                     tf_augment_oracle(o, rounds)), (g, rounds)
+        for rounds in (1, 2):
+            assert _same_orientation(tf_augment(once, rounds),
+                                     tf_augment_oracle(once, rounds)), (g, rounds)
+
+
 # ---------------------------------------------------------------------------
 # ltd_coloring / verify_ltd
 
@@ -120,6 +149,28 @@ def test_ltd_coloring_at_ten_thousand_vertices():
         d = ltd_coloring(g, 2)
         assert d.verified
         assert verify_ltd(g, 2, d.coloring).ok
+
+
+def test_ltd_coloring_output_pinned():
+    # palettes, colors and rounds used on three sparse families, four
+    # catalog graphs and one run allowed more rounds than tf_augment's cap,
+    # pinned by digest
+    rows = []
+    for n in (40, 150, 600):
+        for s in (1, 2):
+            for name, g in ((f"random_tree({n},{s})", random_tree(n, s)),
+                            (f"triangulation({n},{s})", triangulation(n, s)),
+                            (f"bounded_degree_graph({n},4,{s})",
+                             bounded_degree_graph(n, 4, s))):
+                for p in ((1, 2, 3) if n < 600 else (2,)):
+                    rows.append([name, p, ltd_coloring(g, p).to_json()])
+    for name in ("grid_4x4", "Petersen", "Clebsch", "K_8"):
+        for p in (1, 2, 3):
+            rows.append([name, p, ltd_coloring(named(name), p).to_json()])
+    rows.append(["P_9", 2, ltd_coloring(named("P_9"), 2, max_rounds=20).to_json()])
+    assert len(rows) == 55
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "af41ebc31b38da4d425721529b609692435f83b618046df81a6eca252e8bf873"
 
 
 def test_c4_p3_needs_three_colors():

@@ -22,6 +22,7 @@ from sparsekit import (
 )
 from sparsekit.graphs import (
     INFINITY,
+    Orientation,
     catalog_names,
     connected_subsets,
     is_connected_mask,
@@ -269,6 +270,36 @@ def test_orientation_is_acyclic():
         return False
 
     assert not any(state[v] == 0 and has_cycle(v) for v in range(g.n))
+
+
+def _original(arcs):
+    return {a: "original" for a in arcs}, {a: 0 for a in arcs}
+
+
+@pytest.mark.parametrize("arcs", [[(0, 9)], [(-1, 2)], [(0, 1), (4, 3)]])
+def test_orientation_rejects_out_of_range_arcs(arcs):
+    with pytest.raises(ValidationError, match="out of range"):
+        Orientation(named("P_4"), arcs, *_original(arcs))
+
+
+def test_orientation_rejects_arcs_without_kind_or_round():
+    arcs = [(0, 1), (1, 2)]
+    kind, rnd = _original(arcs)
+    del kind[(1, 2)]
+    with pytest.raises(ValidationError, match="kind or a round"):
+        Orientation(named("P_4"), arcs, kind, rnd)
+    kind, rnd = _original(arcs)
+    del rnd[(0, 1)]
+    with pytest.raises(ValidationError, match="kind or a round"):
+        Orientation(named("P_4"), arcs, kind, rnd)
+
+
+def test_adj_mask_built_on_first_use():
+    g = named("C_5")
+    assert g._adj_mask is None
+    assert g.has_edge(0, 4) and not g.has_edge(0, 2) and not g.has_edge(3, 3)
+    assert g.adj_mask == tuple(1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5))
+    assert g.adj_mask is g.adj_mask
 
 
 def test_clique_chromatic_k4():
