@@ -8,6 +8,7 @@ as single-line JSON.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -303,7 +304,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use: parsing keeps no
+    state in it, so every call of main starts from the same defaults."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="json")

@@ -17,6 +17,7 @@ from .graphs import (
     colorset_components,
     induced_subgraph,
     is_connected_mask,
+    mask_of,
 )
 from .treedepth import NO_PARENT, treedepth_at_most
 
@@ -54,8 +55,9 @@ def anchor_tree_bound(pattern, host):
     the same degree filter. A tree DP over host adjacency, O(|H| * (n + m)).
     """
     order, anchor = anchored_order(pattern)
-    ways = [[int(host.degree(t) >= pattern.degree(v)) for t in range(host.n)]
-            for v in range(pattern.n)]
+    adj = host.adj
+    degree = [len(a) for a in adj]
+    ways = [[int(d >= pattern.degree(v)) for d in degree] for v in range(pattern.n)]
     total = 1
     # children follow their anchor in the order, so a reverse sweep finishes
     # each vertex's table before folding it into its anchor's
@@ -65,9 +67,9 @@ def anchor_tree_bound(pattern, host):
             total *= sum(below)
             continue
         up = ways[a]
-        for t in range(host.n):
+        for t, nbrs in enumerate(adj):
             if up[t]:
-                up[t] *= sum(below[w] for w in host.adj[t])
+                up[t] *= sum(map(below.__getitem__, nbrs))
     return total
 
 
@@ -85,55 +87,52 @@ def find_embedding(pattern, host, induced=False):
 def _embed(pattern, host, induced, find):
     if pattern.n > host.n:
         return None if find else 0
-    order, anchor = anchored_order(pattern)
+    if pattern.n == 0:
+        return {} if find else 1
+    order, _ = anchored_order(pattern)
+    adj = host.adj_mask
+    degree = [len(a) for a in host.adj]
+    # per position: the pattern vertex, the host vertices of at least its
+    # degree, and its pattern neighbours (and, induced, non-neighbours)
+    # placed earlier; a candidate set is one int, walked by ascending id
+    steps = []
+    for i, v in enumerate(order):
+        need = pattern.degree(v)
+        fits = mask_of(t for t, d in enumerate(degree) if d >= need)
+        before = order[:i]
+        nbrs = [w for w in before if pattern.has_edge(v, w)]
+        non = [w for w in before if not pattern.has_edge(v, w)] if induced else []
+        steps.append((v, fits, nbrs, non))
+    last = len(steps) - 1
     image = [-1] * pattern.n
-    used = set()
-    total = [0]
-    found = [None]
+    total = 0
 
-    def ok(v, t):
-        for w in pattern.adj[v]:
-            iw = image[w]
-            if iw >= 0 and not host.has_edge(t, iw):
-                return False
-        if induced:
-            for w in range(pattern.n):
-                iw = image[w]
-                if iw >= 0 and w != v:
-                    if host.has_edge(t, iw) and not pattern.has_edge(v, w):
-                        return False
-        return True
-
-    def rec(i):
-        if i == pattern.n:
-            if find:
-                found[0] = dict(enumerate(image))
-                return True
-            total[0] += 1
-            if total[0] > _COUNT_LIMIT:
+    def rec(i, used):
+        nonlocal total
+        v, cand, nbrs, non = steps[i]
+        cand &= ~used
+        for w in nbrs:
+            cand &= adj[image[w]]
+        for w in non:
+            cand &= ~adj[image[w]]
+        if i == last and not find:
+            total += cand.bit_count()
+            if total > _COUNT_LIMIT:
                 raise SizeLimitError("embedding count exceeds 64-bit range")
-            return False
-        v = order[i]
-        anc = anchor[i]
-        if anc is None:
-            candidates = range(host.n)
-        else:
-            candidates = host.adj[image[anc]]
-        for t in candidates:
-            if t in used or host.degree(t) < pattern.degree(v):
-                continue
-            if not ok(v, t):
-                continue
-            image[v] = t
-            used.add(t)
-            if rec(i + 1):
-                return True
-            used.remove(t)
-            image[v] = -1
-        return False
+            return None
+        while cand:
+            low = cand & -cand
+            image[v] = low.bit_length() - 1
+            if i == last:
+                return dict(enumerate(image))
+            found = rec(i + 1, used | low)
+            if found is not None:
+                return found
+            cand ^= low
+        return None
 
-    rec(0)
-    return found[0] if find else total[0]
+    found = rec(0, 0)
+    return found if find else total
 
 
 def automorphism_count(pattern):

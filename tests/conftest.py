@@ -12,9 +12,16 @@ from pathlib import Path
 import pytest
 
 from sparsekit import Graph, bounded_degree_graph, random_tree, triangulation
+from sparsekit.counting import _COUNT_LIMIT
 from sparsekit.decomposition import ROUND_CAP, _orient_smallest_last
 from sparsekit.errors import SizeLimitError, ValidationError
-from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation, subset_components
+from sparsekit.graphs import (
+    ARC_FRATERNAL,
+    ARC_TRANSITIVE,
+    Orientation,
+    anchored_order,
+    subset_components,
+)
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import treedepth_at_most
 
@@ -195,6 +202,66 @@ def tf_augment_oracle(orientation, rounds):
             kind[a] = ARC_FRATERNAL
             rnd[a] = this_round
     return Orientation(orientation.base, list(arcs), kind, rnd)
+
+
+# ---------------------------------------------------------------------------
+# embedding oracle: the enumerator as it was before it ran on host bitmasks
+# (one has_edge call per mapped neighbour, a used set, a degree test per
+# candidate); returns the labeled count, or with find=True the first
+# embedding in ascending candidate order
+
+def count_embeddings_oracle(pattern, host, induced, find):
+    if pattern.n > host.n:
+        return None if find else 0
+    order, anchor = anchored_order(pattern)
+    image = [-1] * pattern.n
+    used = set()
+    total = [0]
+    found = [None]
+
+    def ok(v, t):
+        for w in pattern.adj[v]:
+            iw = image[w]
+            if iw >= 0 and not host.has_edge(t, iw):
+                return False
+        if induced:
+            for w in range(pattern.n):
+                iw = image[w]
+                if iw >= 0 and w != v:
+                    if host.has_edge(t, iw) and not pattern.has_edge(v, w):
+                        return False
+        return True
+
+    def rec(i):
+        if i == pattern.n:
+            if find:
+                found[0] = dict(enumerate(image))
+                return True
+            total[0] += 1
+            if total[0] > _COUNT_LIMIT:
+                raise SizeLimitError("embedding count exceeds 64-bit range")
+            return False
+        v = order[i]
+        anc = anchor[i]
+        if anc is None:
+            candidates = range(host.n)
+        else:
+            candidates = host.adj[image[anc]]
+        for t in candidates:
+            if t in used or host.degree(t) < pattern.degree(v):
+                continue
+            if not ok(v, t):
+                continue
+            image[v] = t
+            used.add(t)
+            if rec(i + 1):
+                return True
+            used.remove(t)
+            image[v] = -1
+        return False
+
+    rec(0)
+    return found[0] if find else total[0]
 
 
 # ---------------------------------------------------------------------------

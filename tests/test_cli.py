@@ -112,6 +112,29 @@ def test_count_auto_route(host_spec, pattern, mode, route):
     }
 
 
+def test_main_in_process_matches_fresh_calls(capsys, monkeypatch):
+    # main reuses one parser for the whole process, so no default or state
+    # may leak from a call into the next: each in-process call prints what a
+    # fresh process prints. COLUMNS pins the help width on both sides.
+    from sparsekit import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["count", "--mode", "induced", "--pattern", "named:P_3", "named:C_5"],
+        ["count", "--pattern", "named:P_3", "named:C_5"],
+        ["--help"],
+        ["count", "--mode", "weird", "--pattern", "named:P_3", "named:C_5"],
+    ]
+    fresh = [run_cli(*args, env_extra={"COLUMNS": "80"}) for args in calls]
+    assert json.loads(fresh[1][1])["mode"] == "subgraph"
+    assert fresh[3][0] == 2 and fresh[3][1] == ""
+    for _ in range(2):
+        for args, expected in zip(calls, fresh):
+            code = cli.main(list(args))
+            out, err = capsys.readouterr()
+            assert (code, out, err) == expected, args
+
+
 def test_count_bruteforce_keeps_host_limit():
     code, out, err = run_cli("count", "--method", "bruteforce", "--pattern",
                              "named:P_3", "random_tree(61,1)")

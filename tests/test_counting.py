@@ -13,14 +13,18 @@ from sparsekit import (
     named,
     verify_sunflower,
 )
+from sparsekit import counting
 from sparsekit.counting import (
     anchor_tree_bound,
     automorphism_count,
     count_embeddings,
+    find_embedding,
     is_isomorphic,
 )
+from sparsekit.graphs import catalog_names
 
-from conftest import random_graph
+import conftest
+from conftest import count_embeddings_oracle, random_graph
 
 PATTERNS = ["P_3", "P_4", "K_3", "C_4", "K_1,3"]
 
@@ -146,6 +150,65 @@ def test_isomorphism_helper():
     assert is_isomorphic(named("C_4"), named("K_2,2"))
     assert not is_isomorphic(named("C_6"), named("K_3,3"))
     assert not is_isomorphic(named("P_4"), named("K_1,3"))
+
+
+# patterns for the enumerator against its oracle: connected, disconnected
+# and edgeless ones, of 1 to 5 vertices
+EMBED_PATTERNS = [named(p) for p in ("K_1", "K_2", "P_3", "P_4", "P_5", "K_3",
+                                     "C_4", "C_5", "K_1,3", "K_4")] + [
+    Graph(4, [(0, 1), (2, 3)]),                  # 2K_2
+    Graph(5, [(0, 1), (1, 2), (3, 4)]),          # P_3 + K_2
+    Graph(3, []),                                # three isolated vertices
+    Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # paw
+]
+
+
+def test_embeddings_match_oracle():
+    hosts = [named(nm) for nm in catalog_names(max_n=12)]
+    hosts += [random_graph(5 + seed % 11, 10 + (seed * 23) % 50, seed=seed + 900)
+              for seed in range(33)]
+    for g in hosts:
+        for h in EMBED_PATTERNS:
+            for induced in (False, True):
+                assert count_embeddings(h, g, induced) == count_embeddings_oracle(
+                    h, g, induced, find=False), (h.edges, g.edges, induced)
+                assert find_embedding(h, g, induced) == count_embeddings_oracle(
+                    h, g, induced, find=True), (h.edges, g.edges, induced)
+
+
+def test_embedding_count_limit(monkeypatch):
+    # the count is checked after each add, so a limit one below the true
+    # count refuses and the true count itself passes, as in the oracle
+    g = named("Petersen")
+    cases = [(h, count_embeddings(h, g)) for h in (named("P_3"), Graph(3, []))]
+    for h, exact in cases:
+        for module in (counting, conftest):
+            monkeypatch.setattr(module, "_COUNT_LIMIT", exact)
+        assert count_embeddings(h, g) == exact
+        assert count_embeddings_oracle(h, g, False, find=False) == exact
+        for module in (counting, conftest):
+            monkeypatch.setattr(module, "_COUNT_LIMIT", exact - 1)
+        with pytest.raises(SizeLimitError):
+            count_embeddings(h, g)
+        with pytest.raises(SizeLimitError):
+            count_embeddings_oracle(h, g, False, find=False)
+
+
+def test_empty_pattern():
+    empty = Graph(0, [])
+    for g in (empty, named("K_1"), named("Petersen")):
+        for induced in (False, True):
+            assert count_embeddings(empty, g, induced) == 1
+            assert find_embedding(empty, g, induced) == {}
+    assert is_isomorphic(empty, empty)
+    assert not is_isomorphic(empty, named("K_1"))
+    assert automorphism_count(empty) == 1
+    # an empty core compares two empty graphs
+    g = Graph(4, [(0, 1), (2, 3)])
+    s = Sunflower(core=[], families=[[[0, 1], [2, 3]]],
+                  core_part=[], petal_parts=[[0, 1]])
+    ok, reason = verify_sunflower(g, named("K_2"), 1, s)
+    assert ok, reason
 
 
 # ---------------------------------------------------------------------------
