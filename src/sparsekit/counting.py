@@ -204,13 +204,12 @@ def count_ltd(query, decomposition=None):
 
 def _count_connected_pattern(g, h, colors, induced):
     total = 0
-    for subset, comps in colorset_components(g, colors, h.n):
-        for comp in comps:
-            if len(comp) < h.n:
-                continue
-            total += _count_exact_colorset(g, h, comp, subset, colors, induced)
-            if total > _COUNT_LIMIT:
-                raise SizeLimitError("count exceeds 64-bit range")
+    for subset, comp in colorset_components(g, colors, h.n):
+        if len(comp) < h.n:
+            continue
+        total += _count_exact_colorset(g, h, comp, subset, colors, induced)
+        if total > _COUNT_LIMIT:
+            raise SizeLimitError("count exceeds 64-bit range")
     return total
 
 

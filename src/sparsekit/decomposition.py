@@ -23,8 +23,10 @@ superset rule. A component C of G[I] is a full-spectrum component of G[J]
 for its spectrum J (a color class's component when |J| = 1), and such a C
 lies in a component of G[I] of td >= td(C) for every I containing J. So the
 smallest I that C makes violate adds to J the smallest colors absent from J
-and below max(J), up to min(p, td(C) - 1) colors. These tests skip the
-shortcut, whose induction assumes that the smaller sets hold.
+and below max(J), up to min(p, td(C) - 1) colors. That set with p colors
+is a lower bound, so the components are tested in its order and the scan
+stops once it reaches the best set found. These tests skip the shortcut,
+whose induction assumes that the smaller sets hold.
 """
 
 from collections import Counter
@@ -245,41 +247,45 @@ def verify_ltd(g, p, coloring):
 def _ltd_holds(g, p, colors):
     if any(colors[u] == colors[v] for u, v in g.edges):
         return False
-    for subset, comps in colorset_components(g, colors, p):
+    for subset, comp in colorset_components(g, colors, p):
         budget = len(subset)
-        for comp in comps:
-            if len(comp) <= budget or 1 in Counter(colors[v] for v in comp).values():
-                continue
-            if treedepth_at_most(g, budget, comp) is None:
-                return False
+        if len(comp) <= budget or 1 in Counter(colors[v] for v in comp).values():
+            continue
+        if treedepth_at_most(g, budget, comp) is None:
+            return False
     return True
 
 
 def _smallest_violation(g, p, coloring):
     """The lexicographically smallest color set inducing td above its size,
     for a failing coloring, by the superset rule of the module docstring."""
-    classes = coloring.classes()
-    palette = [c for c, members in enumerate(classes) if members]
+    colors = coloring.assignment
+    classes = {}  # only the colors present: the declared palette may be huge
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    palette = sorted(classes)
 
     def smallest_superset(spectrum, size):
         # every color below max(spectrum) makes the tuple smaller
         extra = [c for c in palette if c < spectrum[-1] and c not in spectrum]
         return tuple(sorted(spectrum + tuple(extra[:size - len(spectrum)])))
 
+    singles = (((c,), comp) for c in palette for comp in subset_components(g, classes[c]))
+    pieces = [(spectrum, comp)
+              for spectrum, comp in chain(singles, colorset_components(g, colors, p))
+              if len(comp) > len(spectrum)]
+    # tested in the order of the smallest set each could make violate
+    reach = {spectrum: smallest_superset(spectrum, p) for spectrum, _ in pieces}
+    pieces.sort(key=lambda piece: reach[piece[0]])
     best = (palette[-1] + 1,)  # above every set of palette colors
-    singles = (((c,), subset_components(g, classes[c])) for c in palette)
-    for spectrum, comps in chain(singles, colorset_components(g, coloring.assignment, p)):
-        reach = smallest_superset(spectrum, p)
-        for comp in comps:
-            if reach >= best:
-                break
-            if len(comp) <= len(spectrum):
-                continue
-            k = len(spectrum) - 1  # td(comp) > k once a test has failed
-            while k < p and treedepth_at_most(g, k + 1, comp) is None:
-                k += 1
-            if k >= len(spectrum):
-                best = min(best, smallest_superset(spectrum, k))
+    for spectrum, comp in pieces:
+        if reach[spectrum] >= best:
+            break
+        k = len(spectrum) - 1  # td(comp) > k once a test has failed
+        while k < p and treedepth_at_most(g, k + 1, comp) is None:
+            k += 1
+        if k >= len(spectrum):
+            best = min(best, smallest_superset(spectrum, k))
     if best[0] > palette[-1]:
         raise AssertionError("failing coloring without a violating color set")
     return best
@@ -392,8 +398,7 @@ def cluster_cover(g, t):
     of them."""
     colors = ltd_coloring(g, t).coloring.assignment
     found = {frozenset((v,)) for v in range(g.n)}
-    for _, comps in colorset_components(g, colors, t):
-        found.update(frozenset(comp) for comp in comps)
+    found.update(frozenset(comp) for _, comp in colorset_components(g, colors, t))
     maximal = [c for c in found
                if not any(c < other for other in found)]
     maximal.sort(key=lambda c: tuple(sorted(c)))

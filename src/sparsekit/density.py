@@ -487,33 +487,73 @@ def _paths_between(g, u, v, max_len, forbidden, edge_bit):
 
 def _pack_paths(pairs, cap, n):
     """Most paths, at most one from each candidate list in pairs, that are
-    pairwise edge-disjoint with no vertex interior to more than cap of them
-    (exhaustive branch and bound over the lists in order)."""
+    pairwise edge-disjoint with no vertex interior to more than cap >= 1 of
+    them (exhaustive branch and bound over the lists in order). A branch is
+    cut when its paths plus the pairs left with a candidate that still fits
+    cannot beat the best packing, and the search ends once every pair holds
+    a path; both cuts keep the first best packing in search order.
+
+    Candidates are numbered through all lists; a bitmask over those numbers
+    holds the ones that still fit, and choosing a path clears the ones
+    sharing an edge with it and those through a vertex it fills."""
+    flat = [cand for cands in pairs for cand in cands]
+    starts = [0]
+    for cands in pairs:
+        starts.append(starts[-1] + len(cands))
+    pair_mask = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
+    on_edge = {}
+    through = [0] * n
+    for i, (_, em, interior) in enumerate(flat):
+        for e in mask_vertices(em):
+            on_edge[e] = on_edge.get(e, 0) | 1 << i
+        for x in interior:
+            through[x] |= 1 << i
+    clash = []  # per candidate, the candidates sharing an edge with it
+    for _, em, _ in flat:
+        mask = 0
+        for e in mask_vertices(em):
+            mask |= on_edge[e]
+        clash.append(mask)
     load = [0] * n
     chosen = []
     best = []
 
-    def pack(idx, used_edges):
+    def pack(idx, fit):
+        # True once every pair holds a path
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if idx == len(pairs):
-            return
-        if len(chosen) + (len(pairs) - idx) <= len(best):
-            return
-        for path, em, interior in pairs[idx]:
-            if em & used_edges or any(load[x] >= cap for x in interior):
+            if len(best) == len(pairs):
+                return True
+        slack = len(best) - len(chosen)
+        if len(pairs) - idx <= slack:
+            return False
+        open_pairs = 0  # the pairs left that can still take a path, up to slack + 1
+        for mask in pair_mask[idx:]:
+            if mask & fit:
+                open_pairs += 1
+                if open_pairs > slack:
+                    break
+        else:
+            return False
+        for i in range(starts[idx], starts[idx + 1]):
+            if not fit >> i & 1:
                 continue
+            path, _, interior = flat[i]
+            rest = fit & ~clash[i]
             for x in interior:
                 load[x] += 1
+                if load[x] == cap:
+                    rest &= ~through[x]
             chosen.append(path)
-            pack(idx + 1, used_edges | em)
+            if pack(idx + 1, rest):
+                return True
             chosen.pop()
             for x in interior:
                 load[x] -= 1
-        pack(idx + 1, used_edges)
+        return pack(idx + 1, fit)
 
-    pack(0, 0)
+    pack(0, (1 << len(flat)) - 1)
     return best
 
 

@@ -464,42 +464,96 @@ def connected_subsets(adj, nodes, max_size):
 
 
 def colorset_components(g, colors, max_size):
-    """(color set as a sorted tuple, components) for each set of 2..max_size
-    colors connected in the color graph (colors adjacent when an edge joins
-    them) whose G[set] has components using every color of the set; those
-    components, as vertex lists, are grown only from the set's smallest
-    color class, which each of them meets."""
+    """(color set as a sorted tuple, component as a vertex list) for each
+    component of G[I], 2 <= |I| <= max_size, that uses every color of I (a
+    full component), each yielded once, as soon as it is found.
+
+    A pair's full components come from one breadth-first search from its
+    smaller class. A larger set is reached only by extension: a full
+    component C of I touched by a vertex of color c lies in one full
+    component of I + c, which a search from C's neighbours of color c
+    grows. Only colors above min(I) extend I, and that finds them all: a
+    minimal connected subgraph of a full component D of J that meets every
+    color of J is a tree with two or more leaves, each the only vertex of
+    its color in it, so some leaf's color c is not min(J); removing that
+    leaf leaves a connected subgraph of colors J - c, so inside a full
+    component of J - c that the leaf touches. One vertex bitmask per color
+    set, keyed by the ranks of its colors, holds the full components found,
+    so a C whose first vertex it covers is not searched again: the cost
+    follows the output. The bitmasks of the sets with smallest color a go
+    once the pairs with smaller color a are done.
+    """
+    if max_size < 2:
+        return
+    adj = g.adj
     classes = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
-    color_adj = {c: set() for c in classes}
-    for u, v in g.edges:
-        cu, cv = colors[u], colors[v]
-        if cu != cv:
-            color_adj[cu].add(cv)
-            color_adj[cv].add(cu)
-    color_adj = {c: sorted(nbrs) for c, nbrs in color_adj.items()}
-    adj = g.adj
-    for subset in connected_subsets(color_adj, sorted(classes), max_size):
-        size = len(subset)
-        if size < 2:
-            continue
-        seen = set()
-        comps = []
-        for s in classes[min(subset, key=lambda c: len(classes[c]))]:
-            if s in seen:
+    rank_bit = {c: 1 << i for i, c in enumerate(sorted(classes))}
+    vbit = [rank_bit[c] for c in colors]
+    found = {}  # rank bitmask of a color set -> vertex bitmask of its found components
+
+    def extend(spectrum, key, comp):
+        low = key & -key  # the rank bit of min(spectrum)
+        border = {}  # rank bit of a color above it, not in the set -> comp's neighbours of it
+        for u in comp:
+            for w in adj[u]:
+                b = vbit[w]
+                if b > low and not b & key:
+                    border.setdefault(b, []).append(w)
+        first = comp[0]
+        for b, starts in border.items():
+            wider = key | b
+            covered = found.get(wider, 0)
+            if covered >> first & 1:
                 continue
-            seen.add(s)
-            comp = [s]
-            for u in comp:  # breadth-first: comp grows while it is scanned
+            seen = set(comp)
+            grown = []
+            for w in starts:
+                if w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+            for u in grown:  # breadth-first: grown grows while it is scanned
                 for w in adj[u]:
-                    if colors[w] in subset and w not in seen:
+                    if vbit[w] & wider and w not in seen:
                         seen.add(w)
-                        comp.append(w)
-            if len(comp) >= size and len({colors[v] for v in comp}) == size:
-                comps.append(comp)
-        if comps:
-            yield tuple(sorted(subset)), comps
+                        grown.append(w)
+            grown = comp + grown
+            found[wider] = covered | mask_of(grown)
+            subset = tuple(sorted((*spectrum, colors[starts[0]])))
+            yield subset, grown
+            if len(subset) < max_size:
+                yield from extend(subset, wider, grown)
+
+    above = {c: set() for c in classes}  # the colors an edge joins to c, above c
+    for u, v in g.edges:
+        a, b = colors[u], colors[v]
+        if a < b:
+            above[a].add(b)
+        elif b < a:
+            above[b].add(a)
+    for a in sorted(above):
+        found.clear()  # every set reached from here on has smallest color a
+        for b in sorted(above[a]):
+            pair = (a, b)
+            key = rank_bit[a] | rank_bit[b]
+            seen = set()
+            for s in min(classes[a], classes[b], key=len):
+                if s in seen:
+                    continue
+                seen.add(s)
+                comp = [s]
+                for u in comp:  # breadth-first: comp grows while it is scanned
+                    for w in adj[u]:
+                        if vbit[w] & key and w not in seen:
+                            seen.add(w)
+                            comp.append(w)
+                # comp[1] neighbours s, so has the other color unless an edge is monochromatic
+                if len(comp) > 1 and (vbit[comp[1]] != vbit[s]
+                                      or any(vbit[v] != vbit[s] for v in comp)):
+                    yield pair, comp
+                    if max_size > 2:
+                        yield from extend(pair, key, comp)
 
 
 def girth(g):

@@ -106,12 +106,6 @@ class Coloring:
     def n(self):
         return len(self.assignment)
 
-    def classes(self):
-        out = [[] for _ in range(self.palette)]
-        for v, c in enumerate(self.assignment):
-            out[c].append(v)
-        return out
-
     def to_json(self):
         return {"colors": list(self.assignment), "palette": self.palette}
 

@@ -20,6 +20,7 @@ from sparsekit.graphs import (
     ARC_TRANSITIVE,
     Orientation,
     anchored_order,
+    connected_subsets,
     subset_components,
 )
 from sparsekit.rng import Xoshiro256
@@ -311,6 +312,85 @@ def verify_ltd_oracle(g, p, coloring):
             if not memo[key]:
                 return False, subset
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# colour-set component oracle: the generator as it was before it grew larger
+# colour sets from the full components of smaller ones (one breadth-first
+# search per connected colour set, from the set's smallest colour class);
+# yields (colour set, components) per set, in the colour graph's ESU order
+
+def colorset_components_oracle(g, colors, max_size):
+    """(color set as a sorted tuple, components) for each set of 2..max_size
+    colors connected in the color graph (colors adjacent when an edge joins
+    them) whose G[set] has components using every color of the set; those
+    components, as vertex lists, are grown only from the set's smallest
+    color class, which each of them meets."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    color_adj = {c: set() for c in classes}
+    for u, v in g.edges:
+        cu, cv = colors[u], colors[v]
+        if cu != cv:
+            color_adj[cu].add(cv)
+            color_adj[cv].add(cu)
+    color_adj = {c: sorted(nbrs) for c, nbrs in color_adj.items()}
+    adj = g.adj
+    for subset in connected_subsets(color_adj, sorted(classes), max_size):
+        size = len(subset)
+        if size < 2:
+            continue
+        seen = set()
+        comps = []
+        for s in classes[min(subset, key=lambda c: len(classes[c]))]:
+            if s in seen:
+                continue
+            seen.add(s)
+            comp = [s]
+            for u in comp:  # breadth-first: comp grows while it is scanned
+                for w in adj[u]:
+                    if colors[w] in subset and w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            if len(comp) >= size and len({colors[v] for v in comp}) == size:
+                comps.append(comp)
+        if comps:
+            yield tuple(sorted(subset)), comps
+
+
+# ---------------------------------------------------------------------------
+# path-packing oracle: the packer as it was before it counted the pairs still
+# able to take a path and stopped once every pair held one (its only cut is
+# "chosen + pairs left <= best"); the same first best packing in search order
+
+def pack_paths_oracle(pairs, cap, n):
+    load = [0] * n
+    chosen = []
+    best = []
+
+    def pack(idx, used_edges):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if idx == len(pairs):
+            return
+        if len(chosen) + (len(pairs) - idx) <= len(best):
+            return
+        for path, em, interior in pairs[idx]:
+            if em & used_edges or any(load[x] >= cap for x in interior):
+                continue
+            for x in interior:
+                load[x] += 1
+            chosen.append(path)
+            pack(idx + 1, used_edges | em)
+            chosen.pop()
+            for x in interior:
+                load[x] -= 1
+        pack(idx + 1, used_edges)
+
+    pack(0, 0)
+    return best
 
 
 # ---------------------------------------------------------------------------

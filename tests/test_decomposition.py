@@ -310,6 +310,18 @@ def test_verify_ltd_counterexample_fast_with_one_bad_edge():
     assert (out.ok, out.counterexample) == verify_ltd_oracle(g, 2, coloring) == (False, (133,))
 
 
+def test_verify_ltd_counterexample_ignores_unused_declared_colors():
+    # the counterexample is built from the colours present, never from one
+    # class per declared colour (a palette of 10^9 would need about 64 GB)
+    for name, colors in (("P_3", [0, 0, 1]), ("P_4", [1, 2, 1, 2])):
+        g = named(name)
+        tight = verify_ltd(g, 2, Coloring(colors)).counterexample
+        start = time.monotonic()
+        out = verify_ltd(g, 2, Coloring(colors, palette=10**6))
+        assert (out.ok, out.counterexample) == (False, tight)
+        assert time.monotonic() - start < 0.5
+
+
 def test_ltd_coloring_derives_a_counterexample_only_to_raise(monkeypatch):
     calls = []
     derive = decomposition._smallest_violation
@@ -410,6 +422,26 @@ def test_ltd_failure_reports_counterexample():
 
 # ---------------------------------------------------------------------------
 # cluster covers
+
+def test_cluster_cover_output_pinned():
+    # clusters, palettes and membership bounds of cluster_cover at t = 2, 3
+    # on three sparse families and two catalog graphs, pinned by digest
+    rows = []
+    for n in (30, 80, 200):
+        for s in (1, 2):
+            for name, g in ((f"random_tree({n},{s})", random_tree(n, s)),
+                            (f"triangulation({n},{s})", triangulation(n, s)),
+                            (f"bounded_degree_graph({n},4,{s})",
+                             bounded_degree_graph(n, 4, s))):
+                for t in (2, 3):
+                    rows.append([name, t, cluster_cover(g, t).to_json()])
+    for name in ("grid_4x4", "Petersen"):
+        for t in (2, 3):
+            rows.append([name, t, cluster_cover(named(name), t).to_json()])
+    assert len(rows) == 40
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "81ef7f0cef185b9894a79c8eaeb3d3607cc3c79cee68c479e9e5e5eb126c225d"
+
 
 def test_cluster_cover_k2():
     cov = cluster_cover(named("K_2"), 2)

@@ -16,10 +16,11 @@ from sparsekit import (
     random_tree,
     subdivide,
 )
-from sparsekit.density import top_grad
+from sparsekit.density import _pack_paths, top_grad
 from sparsekit.graphs import catalog_names
+from sparsekit.rng import Xoshiro256
 
-from conftest import random_graph
+from conftest import pack_paths_oracle, random_graph
 
 
 def test_nabla0_complete():
@@ -182,6 +183,30 @@ def test_path_packing_witnesses_pinned():
                 rows.append([name, r, fn.__name__, str(value), model.to_json()])
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "d07130cfa840bf0487e6fee8fa6b76344925285645dfc081ded4ecf3f5376e3a"
+
+
+def test_pack_paths_matches_oracle():
+    # random candidate lists, some empty, whose edge masks and interiors
+    # overlap often, at interior caps 1 to 3: the same first best packing
+    rng = Xoshiro256(8)
+    full = 0
+    for _ in range(600):
+        n = 4 + rng.randrange(5)
+        cap = 1 + rng.randrange(3)
+        pairs = []
+        for p in range(2 + rng.randrange(5)):
+            cands = []
+            for i in range(rng.randrange(4)):
+                em = 0
+                for _ in range(1 + rng.randrange(3)):
+                    em |= 1 << rng.randrange(8)
+                interior = sorted({rng.randrange(n) for _ in range(rng.randrange(3))})
+                cands.append(((p, i), em, tuple(interior)))
+            pairs.append(cands)
+        got = _pack_paths(pairs, cap, n)
+        assert got == pack_paths_oracle(pairs, cap, n), (pairs, cap)
+        full += len(got) == len(pairs)
+    assert full >= 50, full
 
 
 def test_models_reject_planted_violations():

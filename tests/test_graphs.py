@@ -8,6 +8,7 @@ from sparsekit import (
     SizeLimitError,
     ValidationError,
     bfs_distances,
+    bounded_degree_graph,
     chromatic_number,
     clique_number,
     connected_components,
@@ -15,15 +16,19 @@ from sparsekit import (
     degeneracy_orientation,
     girth,
     induced_subgraph,
+    ltd_coloring,
     named,
     parse_edge_list,
+    random_tree,
     serialize_edge_list,
     subdivide,
+    triangulation,
 )
 from sparsekit.graphs import (
     INFINITY,
     Orientation,
     catalog_names,
+    colorset_components,
     connected_subsets,
     is_connected_mask,
     mask_of,
@@ -31,8 +36,11 @@ from sparsekit.graphs import (
     subset_components,
 )
 
+from sparsekit.rng import Xoshiro256
+
 from conftest import (
     clique_number_oracle,
+    colorset_components_oracle,
     degeneracy_oracle,
     degeneracy_peel_oracle,
     random_graph,
@@ -210,6 +218,40 @@ def test_connected_subsets_yield_each_connected_set_once(small_graph_sample):
                     for s in combinations(range(g.n), k)
                     if is_connected_mask(g.adj_mask, mask_of(s))}
             assert len(got) == len(want) and set(got) == want
+
+
+def test_colorset_components_match_oracle(peel_sample):
+    # the same (colour set, sorted component) multiset as the per-set
+    # breadth-first search, each pair once, on proper colourings from
+    # ltd_coloring and random improper ones, with colour values shifted to
+    # leave gaps or to reach 10^9; p = 1 yields nothing
+    graphs = [(g, 5 if g.n <= 8 else 3) for g in peel_sample]
+    for seed in (1, 2):
+        for n in (40, 90):
+            for g in (random_tree(n, seed), triangulation(n, seed),
+                      bounded_degree_graph(n, 4, seed)):
+                graphs.append((g, 4))
+    rng = Xoshiro256(20)
+    cases = 0
+    for g, top in graphs:
+        colorings = [ltd_coloring(g, p).coloring.assignment for p in (2, 3)]
+        colorings.append(tuple(rng.randrange(4) for _ in range(g.n)))
+        shifted = []
+        for colors in colorings:
+            shifted.append(tuple(3 * c + 5 for c in colors))
+            shifted.append(tuple(10**9 - 7 * c for c in colors))
+        for colors in colorings + shifted:
+            for p in range(1, top + 1):
+                got = [(s, tuple(sorted(comp)))
+                       for s, comp in colorset_components(g, colors, p)]
+                want = [(s, tuple(sorted(comp)))
+                        for s, comps in colorset_components_oracle(g, colors, p)
+                        for comp in comps]
+                assert len(got) == len(set(got))
+                assert sorted(got) == sorted(want)
+                assert p > 1 or not got
+                cases += 1
+    assert cases >= 1800, cases
 
 
 def test_degeneracy_orientation_triangle():

@@ -279,13 +279,12 @@ def test_treedepth_at_most_on_vertex_sets(peel_sample):
     for g in peel_sample:
         for p in (2, 3):
             colors = ltd_coloring(g, p).coloring.assignment
-            sets = [((c,), subset_components(g, [v for v in range(g.n) if colors[v] == c]))
-                    for c in sorted(set(colors))]
-            sets += list(colorset_components(g, colors, p))
-            for subset, comps in sets:
-                for comp in comps:
-                    for k in (len(subset) - 1, len(subset)):
-                        verdicts[_check_on_vertex_set(g, comp, k)] += 1
+            sets = [((c,), comp) for c in sorted(set(colors))
+                    for comp in subset_components(g, [v for v in range(g.n) if colors[v] == c])]
+            sets += colorset_components(g, colors, p)
+            for subset, comp in sets:
+                for k in (len(subset) - 1, len(subset)):
+                    verdicts[_check_on_vertex_set(g, comp, k)] += 1
             union = [v for v in range(g.n) if colors[v] < p]
             disconnected += len(subset_components(g, union)) > 1
             assert _check_on_vertex_set(g, union, p)
