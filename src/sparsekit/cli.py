@@ -195,7 +195,8 @@ PROFILE_COLUMNS = ["family", "n", "m", "r", "density", "density_float",
 
 
 def cmd_density_profile(args):
-    rows = density.density_profile(args.family, args.r, args.sizes)
+    rows = density.density_profile(args.family, args.r, args.sizes,
+                                   **given(args, "exact_limit"))
     if args.format == "csv":
         emit_csv(rows, PROFILE_COLUMNS)
         return EXIT_OK, None
@@ -243,7 +244,7 @@ def cmd_hom(args):
 
 def cmd_core(args):
     g = load_graph(args.graph)
-    result = homomorphism.core(g)
+    result = homomorphism.core(g, **given(args, "exact_limit"))
     return EXIT_OK, {
         "order": result.n,
         "size": result.m,

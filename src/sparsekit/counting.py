@@ -26,6 +26,11 @@ MODE_INDUCED = "induced"
 
 _COUNT_LIMIT = (1 << 63) - 1
 
+# Largest pattern a CountQuery takes: the counting DP keeps a table of
+# 2^|H| entries per piece, and automorphism_count recurses once per
+# pattern vertex.
+PATTERN_LIMIT = 16
+
 
 class CountQuery:
     """Count the copies of pattern in host, as subgraphs or induced."""
@@ -37,6 +42,9 @@ class CountQuery:
             raise ValidationError(f"unknown counting mode {mode!r}")
         if pattern.n < 1:
             raise ValidationError("pattern must have at least one vertex")
+        if pattern.n > PATTERN_LIMIT:
+            raise SizeLimitError(
+                f"pattern limited to {PATTERN_LIMIT} vertices, got {pattern.n}")
         self.pattern = pattern
         self.host = host
         self.mode = mode
@@ -176,12 +184,12 @@ def count_ltd(query, decomposition=None):
     For every set I of at most |H| colors, copies whose color image is
     exactly I are counted by dynamic programming over an elimination forest
     of height <= |I|; exact-color-set counting makes the per-subset counts
-    disjoint, so the grand total needs no inclusion-exclusion. For a
-    connected pattern only color sets that are connected in the color
-    adjacency graph can host copies, and every copy lives inside a single
-    component of G[I], so each component is processed exactly once (at the
-    set equal to its own color spectrum). Matches count_bruteforce on its
-    whole domain.
+    disjoint, so the grand total needs no inclusion-exclusion. The DP runs
+    once per piece: a color set with the vertices that can hold such a copy.
+    A connected pattern's copies each lie in one component of G[I] that uses
+    every color of I, so its pieces are those components; any other
+    pattern's pieces are the unions of at most |H| color classes. Matches
+    count_bruteforce on its whole domain.
     """
     h, g = query.pattern, query.host
     induced = query.mode == MODE_INDUCED
@@ -191,46 +199,37 @@ def count_ltd(query, decomposition=None):
         decomposition = ltd_coloring(g, h.n)
     elif decomposition.p < h.n:
         raise ValidationError("decomposition parameter smaller than the pattern order")
+    elif len(decomposition.coloring.assignment) != g.n:
+        raise ValidationError(f"decomposition colors {len(decomposition.coloring.assignment)} "
+                              f"vertices, the host has {g.n}")
     colors = decomposition.coloring.assignment
     aut = automorphism_count(h)
     if h.n >= 2 and is_connected_mask(h.adj_mask, (1 << h.n) - 1):
-        total = _count_connected_pattern(g, h, colors, induced)
+        pieces = colorset_components(g, colors, h.n)
     else:
-        total = _count_general_pattern(g, h, colors, induced)
+        pieces = _colorset_unions(colors, h.n)
+    total = 0
+    for subset, vertices in pieces:
+        if len(vertices) < h.n:
+            continue
+        total += _count_exact_colorset(g, h, vertices, subset, colors, induced)
+        if total > _COUNT_LIMIT:
+            raise SizeLimitError("count exceeds 64-bit range")
     if total % aut:
         raise AssertionError("labeled count not divisible by automorphism count")
     return total // aut
 
 
-def _count_connected_pattern(g, h, colors, induced):
-    total = 0
-    for subset, comp in colorset_components(g, colors, h.n):
-        if len(comp) < h.n:
-            continue
-        total += _count_exact_colorset(g, h, comp, subset, colors, induced)
-        if total > _COUNT_LIMIT:
-            raise SizeLimitError("count exceeds 64-bit range")
-    return total
-
-
-def _count_general_pattern(g, h, colors, induced):
+def _colorset_unions(colors, max_size):
+    """(color set as a sorted tuple, sorted vertices of its classes) for each
+    set of 1 to max_size colors present."""
     classes = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     present = sorted(classes)
-    total = 0
-    for size in range(1, min(h.n, len(present)) + 1):
+    for size in range(1, min(max_size, len(present)) + 1):
         for subset in combinations(present, size):
-            vertices = []
-            for c in subset:
-                vertices.extend(classes[c])
-            vertices.sort()
-            if len(vertices) < h.n:
-                continue
-            total += _count_exact_colorset(g, h, vertices, subset, colors, induced)
-            if total > _COUNT_LIMIT:
-                raise SizeLimitError("count exceeds 64-bit range")
-    return total
+            yield subset, sorted(v for c in subset for v in classes[c])
 
 
 def _count_exact_colorset(g, h, vertices, subset, colors, induced):
@@ -241,8 +240,6 @@ def _count_exact_colorset(g, h, vertices, subset, colors, induced):
     if parent is None:
         raise ValidationError(
             "decomposition invalid: a color subset induces tree-depth above its size")
-    color_bit = {c: i for i, c in enumerate(subset)}
-    vcolor = {v: color_bit[colors[v]] for v in vertices}
     children = {v: [] for v in vertices}
     roots = []
     # ascending ids fix the order in which the DP merges children and roots
@@ -253,21 +250,23 @@ def _count_exact_colorset(g, h, vertices, subset, colors, induced):
         else:
             children[p].append(v)
     hn = h.n
-    full_state = ((1 << len(subset)) - 1) << hn | ((1 << hn) - 1)
-    hedge_mask = [0] * hn
-    for a, b in h.edges:
-        hedge_mask[a] |= 1 << b
-        hedge_mask[b] |= 1 << a
+    used_mask = (1 << hn) - 1
+    # state key packs (color_mask << hn) | used_mask
+    color_bit = {c: 1 << (i + hn) for i, c in enumerate(subset)}
+    full_state = ((1 << len(subset)) - 1) << hn | used_mask
+    hadj = h.adj_mask
+    # the pattern vertices a descendant may take once an ancestor holds hv,
+    # when the two host vertices are adjacent and when they are not
+    if_edge = [hadj[hv] if induced else used_mask ^ (1 << hv) for hv in range(hn)]
+    if_not = [used_mask & ~(1 << hv | hadj[hv]) for hv in range(hn)]
     # union of pattern neighborhoods per used-subset, for O(1) merge checks
     nbr_union = [0] * (1 << hn)
     for u in range(1, 1 << hn):
         low = u & -u
-        nbr_union[u] = nbr_union[u ^ low] | hedge_mask[low.bit_length() - 1]
-    used_mask = (1 << hn) - 1
+        nbr_union[u] = nbr_union[u ^ low] | hadj[low.bit_length() - 1]
     adj_mask = g.adj_mask
 
     def merge(acc, vec):
-        # state key packs (color_mask << hn) | used_mask
         if len(acc) == 1 and 0 in acc and acc[0] == 1:
             return vec
         if len(vec) < len(acc):
@@ -286,71 +285,43 @@ def _count_exact_colorset(g, h, vertices, subset, colors, induced):
                 out[key] = get(key, 0) + n1 * n2
         return out
 
-    def options_at(v, chain):
-        opts = [None]
-        adj_v = adj_mask[v]
-        for hv in range(hn):
-            hedges = hedge_mask[hv]
-            fits = True
-            for (av, ah) in chain:
-                if ah == hv:
-                    fits = False
-                    break
-                g_edge = adj_v >> av & 1
-                h_edge = hedges >> ah & 1
-                if h_edge and not g_edge:
-                    fits = False
-                    break
-                if induced and g_edge and not h_edge:
-                    fits = False
-                    break
-            if fits:
-                opts.append(hv)
-        return opts
+    def merged(vs, chain):
+        acc = {0: 1}
+        for v in vs:
+            acc = merge(acc, subtree(v, chain))
+            if not acc:
+                break
+        return acc
 
     def subtree(v, chain):
-        # chain: tuple of (host vertex, pattern vertex) assigned ancestors
-        options = options_at(v, chain)
+        # chain: tuple of (host vertex, pattern vertex) assigned ancestors;
+        # options: the pattern vertices v may take, as a mask
+        options = used_mask
+        adj_v = adj_mask[v]
+        for av, ah in chain:
+            options &= if_edge[ah] if adj_v >> av & 1 else if_not[ah]
+        color = color_bit[colors[v]]
         kids = children[v]
         if not kids:
             result = {0: 1}
-            base_color = 1 << (vcolor[v] + hn)
-            for opt in options:
-                if opt is not None:
-                    key = base_color | (1 << opt)
-                    result[key] = result.get(key, 0) + 1
+            while options:
+                low = options & -options
+                result[color | low] = 1
+                options ^= low
             return result
-        result = {}
-        for opt in options:
-            if opt is None:
-                new_chain = chain
-                base = 0
-            else:
-                new_chain = chain + ((v, opt),)
-                base = (1 << (vcolor[v] + hn)) | (1 << opt)
-            acc = {0: 1}
-            for child in kids:
-                acc = merge(acc, subtree(child, new_chain))
-                if not acc:
-                    break
-            if opt is None:
-                for s, cnt in acc.items():
-                    result[s] = result.get(s, 0) + cnt
-            else:
-                bit = 1 << opt
-                for s, cnt in acc.items():
-                    if s & bit:
-                        continue
-                    key = s | base
-                    result[key] = result.get(key, 0) + cnt
+        # leaving v unassigned
+        result = merged(kids, chain)
+        get = result.get
+        while options:
+            low = options & -options
+            options ^= low
+            base = color | low
+            for s, cnt in merged(kids, chain + ((v, low.bit_length() - 1),)).items():
+                key = s | base
+                result[key] = get(key, 0) + cnt
         return result
 
-    acc = {0: 1}
-    for root in roots:
-        acc = merge(acc, subtree(root, ()))
-        if not acc:
-            break
-    return acc.get(full_state, 0)
+    return merged(roots, ()).get(full_state, 0)
 
 
 # ---------------------------------------------------------------------------

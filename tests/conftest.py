@@ -20,11 +20,12 @@ from sparsekit.graphs import (
     ARC_TRANSITIVE,
     Orientation,
     anchored_order,
+    colorset_components,
     connected_subsets,
     subset_components,
 )
 from sparsekit.rng import Xoshiro256
-from sparsekit.treedepth import treedepth_at_most
+from sparsekit.treedepth import NO_PARENT, treedepth_at_most
 
 
 def cli_env(**extra):
@@ -48,6 +49,24 @@ def random_graph(n, edge_percent, seed):
         if rng.randrange(100) < edge_percent
     ]
     return Graph(n, edges)
+
+
+def counting_gate_hosts():
+    """The 100 hosts of the counting oracle gate (criterion 5): trees,
+    max-degree-4 graphs, triangulations and G(n, 18%), n from 8 to 40."""
+    hosts = []
+    for i in range(100):
+        n = 8 + (i * 7) % 33
+        kind = i % 4
+        if kind == 0:
+            hosts.append(random_tree(n, seed=i))
+        elif kind == 1:
+            hosts.append(bounded_degree_graph(n, 4, seed=i))
+        elif kind == 2:
+            hosts.append(triangulation(max(n, 4), seed=i))
+        else:
+            hosts.append(random_graph(n, 18, seed=i))
+    return hosts
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +282,164 @@ def count_embeddings_oracle(pattern, host, induced, find):
 
     rec(0)
     return found[0] if find else total[0]
+
+
+# ---------------------------------------------------------------------------
+# counting oracle: the decomposition-based count as it was before one loop ran
+# over colour-set pieces and each forest vertex read its options as one
+# pattern mask (a loop per pattern kind, a list of options per vertex, each
+# pattern vertex tested against every assigned ancestor); returns the labeled
+# count, which count_ltd divides by the automorphism count
+
+def count_connected_pattern_oracle(g, h, colors, induced):
+    total = 0
+    for subset, comp in colorset_components(g, colors, h.n):
+        if len(comp) < h.n:
+            continue
+        total += count_exact_colorset_oracle(g, h, comp, subset, colors, induced)
+        if total > _COUNT_LIMIT:
+            raise SizeLimitError("count exceeds 64-bit range")
+    return total
+
+
+def count_general_pattern_oracle(g, h, colors, induced):
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    present = sorted(classes)
+    total = 0
+    for size in range(1, min(h.n, len(present)) + 1):
+        for subset in combinations(present, size):
+            vertices = []
+            for c in subset:
+                vertices.extend(classes[c])
+            vertices.sort()
+            if len(vertices) < h.n:
+                continue
+            total += count_exact_colorset_oracle(g, h, vertices, subset, colors, induced)
+            if total > _COUNT_LIMIT:
+                raise SizeLimitError("count exceeds 64-bit range")
+    return total
+
+
+def count_exact_colorset_oracle(g, h, vertices, subset, colors, induced):
+    """Labeled embeddings of h into G[vertices] whose color image is exactly
+    the given color subset. The DP runs over an elimination forest of
+    G[vertices] on g's own ids, without a copy."""
+    parent = treedepth_at_most(g, len(subset), vertices)
+    if parent is None:
+        raise ValidationError(
+            "decomposition invalid: a color subset induces tree-depth above its size")
+    color_bit = {c: i for i, c in enumerate(subset)}
+    vcolor = {v: color_bit[colors[v]] for v in vertices}
+    children = {v: [] for v in vertices}
+    roots = []
+    # ascending ids fix the order in which the DP merges children and roots
+    for v in sorted(vertices):
+        p = parent[v]
+        if p == NO_PARENT:
+            roots.append(v)
+        else:
+            children[p].append(v)
+    hn = h.n
+    full_state = ((1 << len(subset)) - 1) << hn | ((1 << hn) - 1)
+    hedge_mask = [0] * hn
+    for a, b in h.edges:
+        hedge_mask[a] |= 1 << b
+        hedge_mask[b] |= 1 << a
+    # union of pattern neighborhoods per used-subset, for O(1) merge checks
+    nbr_union = [0] * (1 << hn)
+    for u in range(1, 1 << hn):
+        low = u & -u
+        nbr_union[u] = nbr_union[u ^ low] | hedge_mask[low.bit_length() - 1]
+    used_mask = (1 << hn) - 1
+    adj_mask = g.adj_mask
+
+    def merge(acc, vec):
+        # state key packs (color_mask << hn) | used_mask
+        if len(acc) == 1 and 0 in acc and acc[0] == 1:
+            return vec
+        if len(vec) < len(acc):
+            acc, vec = vec, acc
+        out = {}
+        get = out.get
+        for s1, n1 in acc.items():
+            u1 = s1 & used_mask
+            for s2, n2 in vec.items():
+                u2 = s2 & used_mask
+                # disjoint embeddings, and pattern edges cannot cross
+                # incomparable forest parts
+                if u1 & u2 or nbr_union[u2] & u1:
+                    continue
+                key = s1 | s2
+                out[key] = get(key, 0) + n1 * n2
+        return out
+
+    def options_at(v, chain):
+        opts = [None]
+        adj_v = adj_mask[v]
+        for hv in range(hn):
+            hedges = hedge_mask[hv]
+            fits = True
+            for (av, ah) in chain:
+                if ah == hv:
+                    fits = False
+                    break
+                g_edge = adj_v >> av & 1
+                h_edge = hedges >> ah & 1
+                if h_edge and not g_edge:
+                    fits = False
+                    break
+                if induced and g_edge and not h_edge:
+                    fits = False
+                    break
+            if fits:
+                opts.append(hv)
+        return opts
+
+    def subtree(v, chain):
+        # chain: tuple of (host vertex, pattern vertex) assigned ancestors
+        options = options_at(v, chain)
+        kids = children[v]
+        if not kids:
+            result = {0: 1}
+            base_color = 1 << (vcolor[v] + hn)
+            for opt in options:
+                if opt is not None:
+                    key = base_color | (1 << opt)
+                    result[key] = result.get(key, 0) + 1
+            return result
+        result = {}
+        for opt in options:
+            if opt is None:
+                new_chain = chain
+                base = 0
+            else:
+                new_chain = chain + ((v, opt),)
+                base = (1 << (vcolor[v] + hn)) | (1 << opt)
+            acc = {0: 1}
+            for child in kids:
+                acc = merge(acc, subtree(child, new_chain))
+                if not acc:
+                    break
+            if opt is None:
+                for s, cnt in acc.items():
+                    result[s] = result.get(s, 0) + cnt
+            else:
+                bit = 1 << opt
+                for s, cnt in acc.items():
+                    if s & bit:
+                        continue
+                    key = s | base
+                    result[key] = result.get(key, 0) + cnt
+        return result
+
+    acc = {0: 1}
+    for root in roots:
+        acc = merge(acc, subtree(root, ()))
+        if not acc:
+            break
+    return acc.get(full_state, 0)
 
 
 # ---------------------------------------------------------------------------

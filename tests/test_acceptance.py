@@ -46,7 +46,13 @@ from sparsekit.density import top_grad
 from sparsekit.graphs import catalog_names, chromatic_number
 from sparsekit.homomorphism import core
 
-from conftest import all_graphs_up_to_iso, cli_env, random_graph, treedepth_oracle
+from conftest import (
+    all_graphs_up_to_iso,
+    cli_env,
+    counting_gate_hosts,
+    random_graph,
+    treedepth_oracle,
+)
 
 
 def _report(number, title):
@@ -136,25 +142,9 @@ def test_criterion_04_ltd_soundness_and_chi_chain():
     _report(4, "LTD soundness + chi_p chain")
 
 
-def _counting_hosts():
-    hosts = []
-    for i in range(100):
-        n = 8 + (i * 7) % 33
-        kind = i % 4
-        if kind == 0:
-            hosts.append(sk.random_tree(n, seed=i))
-        elif kind == 1:
-            hosts.append(sk.bounded_degree_graph(n, 4, seed=i))
-        elif kind == 2:
-            hosts.append(sk.triangulation(max(n, 4), seed=i))
-        else:
-            hosts.append(random_graph(n, 18, seed=i))
-    return hosts
-
-
 def test_criterion_05_counting_oracle_gate():
     patterns = [named(x) for x in ("P_3", "P_4", "K_3", "C_4", "K_1,3")]
-    hosts = _counting_hosts()
+    hosts = counting_gate_hosts()
     assert len(hosts) == 100 and all(g.n <= 40 for g in hosts)
     for g in hosts:
         decomposition = ltd_coloring(g, 4)

@@ -87,7 +87,8 @@ AUTO_ROUTES = [
     ("named:K_8", "K_1,3", "induced", "bruteforce"),
     ("named:K_3,16", "K_1,3", "subgraph", "bruteforce"),
     ("named:grid_3x4", "P_4", "induced", "bruteforce"),
-    # patterns above the oracle's 5 vertices always decompose
+    # patterns above the oracle's 5 vertices always decompose; P_6 is the
+    # largest pattern the tests count
     ("named:C_12", "P_6", "subgraph", "ltd"),
 ]
 
@@ -153,12 +154,28 @@ def test_refusal_exit_code():
     # a limit of 0 is a limit, not the default
     for args in (["td", "--exact-limit", "5", "named:K_8"],
                  ["td", "--exact-limit", "0", "named:P_3"],
-                 ["density", "-r", "1", "--exact-limit", "0", "named:C_5"]):
+                 ["density", "-r", "1", "--exact-limit", "0", "named:C_5"],
+                 ["core", "--exact-limit", "3", "named:C_4"],
+                 # above the pattern limit, refused before any decomposition
+                 ["count", "--pattern", "named:star_1199", "named:star_1199"],
+                 ["count", "--pattern", "named:star_40", "named:star_40"]):
         code, out, err = run_cli(*args)
         assert code == 3 and out == "", args
         payload = json.loads(err)
         check("error", payload)
         assert payload["error"] == "SizeLimitError"
+
+
+def test_density_profile_exact_limit():
+    # grid_3x3 has 9 vertices: inside the default limit, above a limit of 8
+    args = ["density-profile", "--family", "grids", "-r", "1", "--sizes", "3"]
+    exact = {}
+    for extra in ([], ["--exact-limit", "8"]):
+        code, out, err = run_cli(*args, *extra)
+        assert code == 0, err
+        (row,) = json.loads(out)["rows"]
+        exact[bool(extra)] = row["exact"]
+    assert exact == {False: True, True: False}
 
 
 def test_usage_exit_code():

@@ -21,10 +21,17 @@ from sparsekit.counting import (
     find_embedding,
     is_isomorphic,
 )
-from sparsekit.graphs import catalog_names
+from sparsekit.graphs import catalog_names, colorset_components, is_connected_mask
 
 import conftest
-from conftest import count_embeddings_oracle, random_graph
+from conftest import (
+    count_connected_pattern_oracle,
+    count_embeddings_oracle,
+    count_exact_colorset_oracle,
+    count_general_pattern_oracle,
+    counting_gate_hosts,
+    random_graph,
+)
 
 PATTERNS = ["P_3", "P_4", "K_3", "C_4", "K_1,3"]
 
@@ -32,6 +39,13 @@ PATTERNS = ["P_3", "P_4", "K_3", "C_4", "K_1,3"]
 def test_mode_validation():
     with pytest.raises(ValidationError):
         CountQuery(named("K_2"), named("K_3"), "weird")
+
+
+def test_pattern_limit():
+    assert counting.PATTERN_LIMIT == 16
+    CountQuery(named("P_16"), named("K_2"))
+    with pytest.raises(SizeLimitError):
+        CountQuery(named("P_17"), named("K_2"))
 
 
 def test_automorphism_counts():
@@ -119,6 +133,52 @@ def test_oracle_equivalence_mixed_hosts():
                 q = CountQuery(pattern, g, mode)
                 assert count_bruteforce(q) == count_ltd(q, decomposition=dec), (
                     name, mode, g.edges)
+
+
+# connected, disconnected and one-vertex patterns: each kind of piece
+PIECE_PATTERNS = [named(p) for p in ("P_3", "P_4", "K_3", "C_4", "K_1,3", "K_1")] + [
+    Graph(4, [(0, 1), (2, 3)]),          # 2K_2
+    Graph(3, [(0, 1)]),                  # K_2 + K_1
+    Graph(4, [(0, 1), (1, 2)]),          # P_3 + K_1
+]
+
+
+def test_count_pieces_match_oracle():
+    # the smallest gate hosts (n = 8 to 10, each kind) and two hubs, whose
+    # forests put many leaves under one vertex
+    hosts = [g for g in counting_gate_hosts() if g.n <= 10]
+    hosts += [named("star_14"), named("K_2,12")]
+    checked = 0
+    for g in hosts:
+        dec = ltd_coloring(g, 4)
+        colors = dec.coloring.assignment
+        for h in PIECE_PATTERNS:
+            if h.n >= 2 and is_connected_mask(h.adj_mask, (1 << h.n) - 1):
+                pieces = colorset_components(g, colors, h.n)
+                oracle = count_connected_pattern_oracle
+            else:
+                pieces = counting._colorset_unions(colors, h.n)
+                oracle = count_general_pattern_oracle
+            pieces = [(s, v) for s, v in pieces if len(v) >= h.n]
+            checked += len(pieces)
+            for induced in (False, True):
+                for subset, vertices in pieces:
+                    args = (g, h, vertices, subset, colors, induced)
+                    assert counting._count_exact_colorset(*args) == \
+                        count_exact_colorset_oracle(*args), (h.edges, g.edges, subset)
+                mode = "induced" if induced else "subgraph"
+                labeled = count_ltd(CountQuery(h, g, mode), decomposition=dec)
+                labeled *= automorphism_count(h)
+                assert labeled == oracle(g, h, colors, induced), (h.edges, g.edges, mode)
+    assert checked > 1000, checked
+
+
+def test_count_ltd_rejects_decomposition_of_another_graph():
+    # a coloring shorter than the host, and one longer
+    for h, g, other in (("P_3", "C_6", "P_4"), ("P_3", "P_3", "C_6")):
+        dec = ltd_coloring(named(other), 3)
+        with pytest.raises(ValidationError):
+            count_ltd(CountQuery(named(h), named(g)), decomposition=dec)
 
 
 def test_labeled_over_automorphisms_consistency():
