@@ -55,11 +55,15 @@ def verify_dn_coloring(g, n, coloring):
     return True
 
 
-def max_odd_distance_set(g, size_limit=30):
+# Largest graph max_odd_distance_set takes.
+ODDSET_LIMIT = 30
+
+
+def max_odd_distance_set(g):
     """A maximum vertex set pairwise at odd (finite) distance, via exact
     max-clique search on the odd-distance auxiliary graph."""
-    if g.n > size_limit:
-        raise SizeLimitError(f"max_odd_distance_set limited to {size_limit} vertices")
+    if g.n > ODDSET_LIMIT:
+        raise SizeLimitError(f"max_odd_distance_set limited to {ODDSET_LIMIT} vertices")
     dist = all_pairs_distances(g)
     edges = [
         (u, v)
@@ -163,12 +167,18 @@ def verify_cover(g, cover):
 # ---------------------------------------------------------------------------
 # induced pattern scan
 
-def induced_pattern_scan(g, s, t, q, s_limit=7, t_limit=6, q_limit=4):
+# Largest s, t and q induced_pattern_scan takes for P_s, K_t and K_{q,q}.
+SCAN_PATH_LIMIT = 7
+SCAN_CLIQUE_LIMIT = 6
+SCAN_BICLIQUE_LIMIT = 4
+
+
+def induced_pattern_scan(g, s, t, q):
     """Presence of P_s, K_t, and K_{q,q} as induced subgraphs, each with a
     witness vertex map when present."""
     from .counting import find_embedding
 
-    if s > s_limit or t > t_limit or q > q_limit:
+    if s > SCAN_PATH_LIMIT or t > SCAN_CLIQUE_LIMIT or q > SCAN_BICLIQUE_LIMIT:
         raise SizeLimitError("pattern size above the scan limits")
     report = {}
     for key, pattern_name in (("path", f"P_{s}"), ("clique", f"K_{t}"),
@@ -186,7 +196,12 @@ def induced_pattern_scan(g, s, t, q, s_limit=7, t_limit=6, q_limit=4):
 # ---------------------------------------------------------------------------
 # choosability
 
-def is_k_choosable(g, k, order_limit=7, k_limit=2):
+# Largest graph and list size is_k_choosable takes.
+CHOOSABLE_ORDER_LIMIT = 7
+CHOOSABLE_K_LIMIT = 2
+
+
+def is_k_choosable(g, k):
     """True iff every assignment of k-color lists admits a proper list
     coloring.
 
@@ -196,9 +211,9 @@ def is_k_choosable(g, k, order_limit=7, k_limit=2):
     distinct lists occur. A prefix of vertices whose induced subgraph is
     already uncolorable ends the search immediately.
     """
-    if g.n > order_limit or k > k_limit:
-        raise SizeLimitError(
-            f"is_k_choosable limited to {order_limit} vertices and k <= {k_limit}")
+    if g.n > CHOOSABLE_ORDER_LIMIT or k > CHOOSABLE_K_LIMIT:
+        raise SizeLimitError(f"is_k_choosable limited to {CHOOSABLE_ORDER_LIMIT} "
+                             f"vertices and k <= {CHOOSABLE_K_LIMIT}")
     if k < 1:
         raise ValidationError("k must be >= 1")
     lists = [None] * g.n

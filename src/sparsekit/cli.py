@@ -78,8 +78,8 @@ def given(args, name):
     return {} if value is None else {name: value}
 
 
-def emit(payload, fmt, stream=None):
-    stream = stream or sys.stdout
+def emit(payload, fmt):
+    stream = sys.stdout
     if fmt == "json":
         stream.write(json.dumps(payload, sort_keys=True) + "\n")
     elif fmt == "text":
@@ -89,8 +89,8 @@ def emit(payload, fmt, stream=None):
         raise ValidationError(f"format {fmt!r} not supported for this command")
 
 
-def emit_csv(rows, columns, stream=None):
-    stream = stream or sys.stdout
+def emit_csv(rows, columns):
+    stream = sys.stdout
     stream.write(",".join(columns) + "\n")
     for row in rows:
         cells = []
@@ -149,7 +149,8 @@ def cmd_count(args):
     if method == "auto":
         cheap = host.n <= 20 or (counting.anchor_tree_bound(pattern, host)
                                  <= ENUMERATION_MAPS_PER_VERTEX * host.n)
-        method = "bruteforce" if cheap and pattern.n <= 5 else "ltd"
+        fits = pattern.n <= counting.BRUTEFORCE_PATTERN_LIMIT
+        method = "bruteforce" if cheap and fits else "ltd"
     if method == "ltd":
         dec = decomposition.ltd_coloring(host, pattern.n)
         value = counting.count_ltd(query, decomposition=dec)

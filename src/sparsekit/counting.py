@@ -27,8 +27,7 @@ MODE_INDUCED = "induced"
 _COUNT_LIMIT = (1 << 63) - 1
 
 # Largest pattern a CountQuery takes: the counting DP keeps a table of
-# 2^|H| entries per piece, and automorphism_count recurses once per
-# pattern vertex.
+# 2^|H| entries per piece.
 PATTERN_LIMIT = 16
 
 
@@ -113,34 +112,37 @@ def _embed(pattern, host, induced, find):
         steps.append((v, fits, nbrs, non))
     last = len(steps) - 1
     image = [-1] * pattern.n
+    left = [0] * last  # untried candidates at each position before the last
+    taken = [0] * last  # host vertices the earlier positions hold
     total = 0
-
-    def rec(i, used):
-        nonlocal total
+    i = used = 0
+    while True:
         v, cand, nbrs, non = steps[i]
         cand &= ~used
         for w in nbrs:
             cand &= adj[image[w]]
         for w in non:
             cand &= ~adj[image[w]]
-        if i == last and not find:
+        if i < last:
+            left[i], taken[i] = cand, used
+        elif find and cand:
+            image[v] = (cand & -cand).bit_length() - 1
+            return dict(enumerate(image))
+        else:
             total += cand.bit_count()
             if total > _COUNT_LIMIT:
                 raise SizeLimitError("embedding count exceeds 64-bit range")
-            return None
-        while cand:
-            low = cand & -cand
-            image[v] = low.bit_length() - 1
-            if i == last:
-                return dict(enumerate(image))
-            found = rec(i + 1, used | low)
-            if found is not None:
-                return found
-            cand ^= low
-        return None
-
-    found = rec(0, 0)
-    return found if find else total
+            i -= 1
+        # the next candidate of the deepest position that has one
+        while i >= 0 and not left[i]:
+            i -= 1
+        if i < 0:
+            return None if find else total
+        low = left[i] & -left[i]
+        left[i] ^= low
+        image[steps[i][0]] = low.bit_length() - 1
+        used = taken[i] | low
+        i += 1
 
 
 def automorphism_count(pattern):
@@ -159,11 +161,16 @@ def is_isomorphic(a, b):
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
-def count_bruteforce(query, pattern_limit=5, host_limit=60):
+# Largest pattern count_bruteforce takes, and so `count --method auto`.
+BRUTEFORCE_PATTERN_LIMIT = 5
+
+
+def count_bruteforce(query, host_limit=60):
     """Exact occurrence count by exhaustive embedding enumeration."""
     h, g = query.pattern, query.host
-    if h.n > pattern_limit:
-        raise SizeLimitError(f"pattern limited to {pattern_limit} vertices, got {h.n}")
+    if h.n > BRUTEFORCE_PATTERN_LIMIT:
+        raise SizeLimitError(
+            f"pattern limited to {BRUTEFORCE_PATTERN_LIMIT} vertices, got {h.n}")
     if g.n > host_limit:
         raise SizeLimitError(f"host limited to {host_limit} vertices, got {g.n}")
     if h.n > g.n or h.m > g.m:
@@ -341,14 +348,18 @@ class Sunflower:
         self.petal_parts = tuple(tuple(sorted(y)) for y in petal_parts)
 
 
-def verify_sunflower(g, f, k, sunflower, pattern_limit=8, product_budget=10_000):
+# Largest pattern verify_sunflower takes.
+SUNFLOWER_PATTERN_LIMIT = 8
+
+
+def verify_sunflower(g, f, k, sunflower, product_budget=10_000):
     """Check the five sunflower conditions exhaustively.
 
     Returns (True, None) or (False, reason). Raises BudgetExceededError when
     the cross-product exceeds the budget (indeterminate, not a verdict).
     """
-    if f.n > pattern_limit:
-        raise SizeLimitError(f"pattern limited to {pattern_limit} vertices")
+    if f.n > SUNFLOWER_PATTERN_LIMIT:
+        raise SizeLimitError(f"pattern limited to {SUNFLOWER_PATTERN_LIMIT} vertices")
     if len(sunflower.families) != k or len(sunflower.petal_parts) != k:
         raise ValidationError("family/partition arity differs from k")
     parts = [sunflower.core_part] + list(sunflower.petal_parts)

@@ -294,7 +294,12 @@ def _smallest_violation(g, p, coloring):
 # ---------------------------------------------------------------------------
 # construction
 
-def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8):
+# Largest graph chi_p_bruteforce takes, and ltd_coloring's default for its
+# fallback to the same exact search.
+CHI_P_LIMIT = 8
+
+
+def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=CHI_P_LIMIT):
     """Low tree-depth decomposition with parameter p.
 
     Seeds a degeneracy orientation, augments it round by round (0 up to
@@ -335,10 +340,10 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=8):
     )
 
 
-def chi_p_bruteforce(g, p, limit=8):
+def chi_p_bruteforce(g, p):
     """Exact chi_p by enumerating colorings up to color renaming."""
-    if g.n > limit:
-        raise SizeLimitError(f"chi_p_bruteforce limited to {limit} vertices, got {g.n}")
+    if g.n > CHI_P_LIMIT:
+        raise SizeLimitError(f"chi_p_bruteforce limited to {CHI_P_LIMIT} vertices, got {g.n}")
     if g.n == 0:
         return 0
     k, _ = _chi_p_search(g, p)
@@ -407,7 +412,12 @@ def cluster_cover(g, t):
     return ClusterCover(maximal, t, palette=palette, membership_bound=bound)
 
 
-def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):
+# Largest t and graph verify_cluster_cover takes.
+CLUSTER_COVER_T_LIMIT = 4
+CLUSTER_COVER_ORDER_LIMIT = 200
+
+
+def verify_cluster_cover(g, cover):
     """Check the three cover conditions; returns (True, None) or
     (False, witness) with the first violation found.
 
@@ -417,7 +427,7 @@ def verify_cluster_cover(g, cover, t_limit=4, order_limit=200):
     the recorded bound.
     """
     t = cover.t
-    if t > t_limit or g.n > order_limit:
+    if t > CLUSTER_COVER_T_LIMIT or g.n > CLUSTER_COVER_ORDER_LIMIT:
         raise SizeLimitError("verify_cluster_cover enumeration budget exceeded")
     cluster_sets = [frozenset(c) for c in cover.clusters]
     for cluster in cover.clusters:

@@ -323,10 +323,15 @@ def nabla0(g):
         best, witness = density, denser
 
 
-def nabla0_bruteforce(g, limit=16):
+# Largest graph nabla0_bruteforce takes: it enumerates all 2^n vertex sets.
+NABLA0_BRUTEFORCE_LIMIT = 16
+
+
+def nabla0_bruteforce(g):
     """Subset-enumeration oracle for nabla0 (cross-check path)."""
-    if g.n > limit:
-        raise SizeLimitError(f"nabla0_bruteforce limited to {limit} vertices")
+    if g.n > NABLA0_BRUTEFORCE_LIMIT:
+        raise SizeLimitError(
+            f"nabla0_bruteforce limited to {NABLA0_BRUTEFORCE_LIMIT} vertices")
     if g.n == 0:
         raise ValidationError("nabla0 needs at least one vertex")
     adj = g.adj_mask

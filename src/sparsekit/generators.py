@@ -20,7 +20,13 @@ def random_tree(n, seed):
     return Graph(n, edges)
 
 
-def bounded_degree_graph(n, d, seed, attempts_per_edge=20):
+# Sampling attempts per target edge of bounded_degree_graph and per vertex
+# of girth5_graph.
+ATTEMPTS_PER_EDGE = 20
+GIRTH5_ATTEMPTS_PER_VERTEX = 30
+
+
+def bounded_degree_graph(n, d, seed):
     """Random simple graph with maximum degree <= d (edge-sampling with
     rejection; connectivity is not guaranteed)."""
     if n < 1 or d < 1:
@@ -29,7 +35,7 @@ def bounded_degree_graph(n, d, seed, attempts_per_edge=20):
     target = n * d // 2
     deg = [0] * n
     edges = set()
-    for _ in range(target * attempts_per_edge):
+    for _ in range(target * ATTEMPTS_PER_EDGE):
         if len(edges) == target:
             break
         u = rng.randrange(n)
@@ -45,17 +51,15 @@ def bounded_degree_graph(n, d, seed, attempts_per_edge=20):
     return Graph(n, sorted(edges))
 
 
-def girth5_graph(n, seed, attempts=None):
+def girth5_graph(n, seed):
     """Random graph of girth >= 5: an edge is added only when its endpoints
     are currently at distance >= 4, so every created cycle has length >= 5."""
     if n < 2:
         raise ValidationError("need n >= 2")
     rng = Xoshiro256(seed)
-    if attempts is None:
-        attempts = 30 * n
     edges = []
     adj = [[] for _ in range(n)]
-    for _ in range(attempts):
+    for _ in range(GIRTH5_ATTEMPTS_PER_VERTEX * n):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:

@@ -751,7 +751,7 @@ def chromatic_number(g, exact_limit=12):
         return 0
     if g.m == 0:
         return 1
-    lb = clique_number(g, exact_limit=max(exact_limit, g.n))
+    lb = len(max_clique(g))
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
 
     def colorable(k):

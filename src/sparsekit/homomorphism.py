@@ -27,16 +27,21 @@ def is_homomorphism(g, h, mapping):
     return True
 
 
-def hom_exists(g, h, source_limit=200, target_limit=32, budget=2_000_000):
+# Largest source and target graphs hom_exists takes.
+HOM_SOURCE_LIMIT = 200
+HOM_TARGET_LIMIT = 32
+
+
+def hom_exists(g, h, budget=2_000_000):
     """A homomorphism g -> h as a vertex map, or None when none exists.
 
     Backtracking over g's vertices in descending-degree order (connected
     pieces stay contiguous), with arc-consistency pruning over candidate
     bitmasks. Raises BudgetExceededError if the node budget runs out.
     """
-    if h.n > target_limit or g.n > source_limit:
+    if h.n > HOM_TARGET_LIMIT or g.n > HOM_SOURCE_LIMIT:
         raise SizeLimitError(
-            f"hom_exists limited to |g| <= {source_limit}, |h| <= {target_limit}")
+            f"hom_exists limited to |g| <= {HOM_SOURCE_LIMIT}, |h| <= {HOM_TARGET_LIMIT}")
     if g.n == 0:
         return {}
     if h.n == 0:
@@ -86,14 +91,9 @@ def hom_exists(g, h, source_limit=200, target_limit=32, budget=2_000_000):
         while dom:
             bit = dom & -dom
             dom ^= bit
+            # forward checking left only targets adjacent to the images of
+            # v's assigned neighbours
             t = bit.bit_length() - 1
-            ok = True
-            for w in g.adj[v]:
-                if assignment[w] >= 0 and not h.has_edge(t, assignment[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
             assignment[v] = t
             new_doms = list(doms)
             new_doms[v] = bit
@@ -144,7 +144,7 @@ def core(g, exact_limit=12):
     return current
 
 
-def t_approximation_check(g, h, t, budgets=None):
+def t_approximation_check(g, h, t):
     """True iff g -> h and every subgraph of h of order <= t maps to g.
 
     Checking induced subgraphs suffices: a subgraph with fewer edges is
@@ -152,13 +152,12 @@ def t_approximation_check(g, h, t, budgets=None):
     """
     if t < 0:
         raise ValidationError("t must be >= 0")
-    kw = budgets or {}
-    if hom_exists(g, h, **kw) is None:
+    if hom_exists(g, h) is None:
         return False
     for size in range(1, min(t, h.n) + 1):
         for subset in combinations(range(h.n), size):
             sub, _ = induced_subgraph(h, subset)
-            if hom_exists(sub, g, **kw) is None:
+            if hom_exists(sub, g) is None:
                 return False
     return True
 

@@ -340,13 +340,19 @@ def ranking_from_forest(forest):
     return Coloring(colors, palette=forest.height)
 
 
-def verify_centered_coloring(g, coloring, bruteforce_limit=14):
+# Largest graphs the exhaustive colouring checks take.
+CENTERED_CHECK_LIMIT = 14
+RANKING_CHECK_LIMIT = 14
+
+
+def verify_centered_coloring(g, coloring):
     """True iff every connected induced subgraph has a uniquely used color.
 
     Exhausts all connected vertex subsets, so the graph must be small.
     """
-    if g.n > bruteforce_limit:
-        raise SizeLimitError(f"verify_centered_coloring limited to {bruteforce_limit} vertices")
+    if g.n > CENTERED_CHECK_LIMIT:
+        raise SizeLimitError(
+            f"verify_centered_coloring limited to {CENTERED_CHECK_LIMIT} vertices")
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
     adj = g.adj_mask
@@ -362,13 +368,14 @@ def verify_centered_coloring(g, coloring, bruteforce_limit=14):
     return True
 
 
-def verify_vertex_ranking(g, coloring, limit=14):
+def verify_vertex_ranking(g, coloring):
     """Ranking check via the color-threshold component formulation:
     deleting all vertices of color > k must leave no component holding two
     vertices of color k.
     """
-    if g.n > limit:
-        raise SizeLimitError(f"verify_vertex_ranking limited to {limit} vertices")
+    if g.n > RANKING_CHECK_LIMIT:
+        raise SizeLimitError(
+            f"verify_vertex_ranking limited to {RANKING_CHECK_LIMIT} vertices")
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
     colors = coloring.assignment
@@ -384,13 +391,19 @@ def verify_vertex_ranking(g, coloring, limit=14):
     return True
 
 
-def minimum_centered_palette(g, limit=6):
+# Largest graphs the minimum-palette searches take.
+CENTERED_PALETTE_LIMIT = 6
+RANKING_PALETTE_LIMIT = 6
+
+
+def minimum_centered_palette(g):
     """Brute-force minimum number of colors in a centered coloring.
 
     Enumerates colorings up to color renaming (restricted-growth strings).
     """
-    if g.n > limit:
-        raise SizeLimitError(f"minimum_centered_palette limited to {limit} vertices")
+    if g.n > CENTERED_PALETTE_LIMIT:
+        raise SizeLimitError(
+            f"minimum_centered_palette limited to {CENTERED_PALETTE_LIMIT} vertices")
     if g.n == 0:
         return 0
     for k in range(1, g.n + 1):
@@ -399,11 +412,12 @@ def minimum_centered_palette(g, limit=6):
     return g.n
 
 
-def minimum_ranking_palette(g, limit=6):
+def minimum_ranking_palette(g):
     """Brute-force minimum vertex-ranking palette (colors are ordered, so
     all assignments are enumerated, not just up to renaming)."""
-    if g.n > limit:
-        raise SizeLimitError(f"minimum_ranking_palette limited to {limit} vertices")
+    if g.n > RANKING_PALETTE_LIMIT:
+        raise SizeLimitError(
+            f"minimum_ranking_palette limited to {RANKING_PALETTE_LIMIT} vertices")
     if g.n == 0:
         return 0
     for k in range(1, g.n + 1):

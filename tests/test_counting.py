@@ -271,6 +271,14 @@ def test_empty_pattern():
     assert ok, reason
 
 
+def test_long_pattern_embedding():
+    # the search holds its candidates in lists, not in one frame per
+    # pattern vertex, so a pattern far above the recursion limit works
+    p = named("P_1200")
+    assert find_embedding(p, p) == {v: v for v in range(p.n)}
+    assert is_isomorphic(p, p)
+
+
 # ---------------------------------------------------------------------------
 # sunflowers
 
