@@ -10,8 +10,18 @@ The verifier decides a coloring from the connected pieces that carry each
 color set, not from every set. The coloring holds (every set I of at most p
 colors induces td <= |I|) exactly when no edge is monochromatic (the sets
 of size 1) and, for every I of 2..p colors connected in the color graph,
-each component C of G[I] that uses all colors of I has td <= |I|. C needs
-no test when |C| <= |I|, or when some color c occurs exactly once in C. By
+each component C of G[I] that uses all colors of I has td <= |I|.
+
+The pairs are decided together, in one pass over the edges (the two-color
+rule; at p = 2 it makes the coloring a star coloring). Under a proper
+coloring, a connected two-colored graph has td <= 2 iff it is a star iff
+it holds no path on four vertices, and an edge uv is the middle edge of a
+two-colored P_4 exactly when u sees color(v) on two or more neighbours
+and v sees color(u) on two or more. So the pairs hold iff no edge has both
+ends seeing the other's color twice.
+
+For |I| >= 3, C needs no test when |C| <= |I|, or when some color c occurs
+exactly once in C, that is, when fewer than |I| colors repeat in C. By
 induction on |I|, whatever order the sets are checked in: a component of
 G[I] with a smaller spectrum J is a component of G[J], so td <= |J|; and
 deleting the one vertex of color c from C leaves components of G[I - c],
@@ -29,7 +39,6 @@ stops once it reaches the best set found. These tests skip the shortcut,
 whose induction assumes that the smaller sets hold.
 """
 
-from collections import Counter
 from itertools import chain, combinations
 from math import comb
 
@@ -185,24 +194,40 @@ def _tf_round(out, inn):
     """One augmentation round, by tf_augment's rules, on the out- and
     in-neighbour sets out[v] and inn[v], updated in place. Returns the
     transitive and the fraternal arcs added, each in the order applied;
-    both are empty at a fixpoint."""
+    both are empty at a fixpoint. Candidate pairs (u, w) are kept as the
+    ints u * n + w, which sort as the pairs do. A decoded pair is looked up
+    in ids, so that the sets share one int object per vertex rather than
+    hold a new one per arc, which would raise the peak memory."""
+    n = len(out)
+    ids = list(range(n))
     transitive = set()
     fraternal = set()
     for v, tails in enumerate(inn):
         heads = out[v]
-        for u in tails:
-            # u != w throughout: no pair carries two arcs
-            transitive.update((u, w) for w in heads - out[u] - inn[u])
-        for u, w in combinations(sorted(tails), 2):
-            if w not in out[u] and w not in inn[u]:
-                fraternal.add((u, w))
+        if heads:
+            for u in tails:
+                # u != w throughout: no pair carries two arcs
+                out_u, inn_u, base = out[u], inn[u], u * n
+                transitive.update([base + w for w in heads
+                                   if w not in out_u and w not in inn_u])
+        if len(tails) > 1:
+            for u, w in combinations(sorted(tails), 2):
+                if w not in out[u] and w not in inn[u]:
+                    fraternal.add(u * n + w)
     added = []
-    for u, w in sorted(transitive):
+    for key in sorted(transitive):
+        u, w = divmod(key, n)
+        u, w = ids[u], ids[w]
         if w not in inn[u]:  # else the opposite direction was added first
             out[u].add(w)
             inn[w].add(u)
             added.append((u, w))
-    fresh = [(u, w) for u, w in sorted(fraternal) if w not in out[u] and w not in inn[u]]
+    fresh = []
+    for key in sorted(fraternal):
+        u, w = divmod(key, n)
+        u, w = ids[u], ids[w]
+        if w not in out[u] and w not in inn[u]:
+            fresh.append((u, w))
     fresh = _orient_smallest_last(fresh)
     for u, w in fresh:
         out[u].add(w)
@@ -228,12 +253,13 @@ def verify_ltd(g, p, coloring):
     """Check that every set I of at most p colors induces td <= |I|.
 
     Returns an LtdVerification. The yes/no answer comes from the connected
-    color sets alone (see the module docstring): a component of G[I] is
-    tested exactly only when it uses every color of I, has more than |I|
-    vertices and no color occurring once in it; treedepth_at_most decides
-    it on g's own ids. The counterexample of a failing coloring, the
-    lexicographically smallest violating color set, comes from the same
-    sets by the superset rule, on first read.
+    color sets alone (see the module docstring): the pairs by the two-color
+    rule, and a component of G[I], |I| >= 3, tested exactly only when it
+    uses every color of I, has more than |I| vertices and no color
+    occurring once in it; treedepth_at_most decides it on g's own ids. The
+    counterexample of a failing coloring, the lexicographically smallest
+    violating color set, comes from the same sets by the superset rule, on
+    first read.
     """
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
@@ -247,13 +273,34 @@ def verify_ltd(g, p, coloring):
 def _ltd_holds(g, p, colors):
     if any(colors[u] == colors[v] for u, v in g.edges):
         return False
+    if p == 1:
+        return True
+    # the two-color rule: a P_4 whose middle edge is uv
+    twice = [_repeated_colors(colors, nbrs) for nbrs in g.adj]
+    if any(colors[v] in twice[u] and colors[u] in twice[v] for u, v in g.edges):
+        return False
+    if p == 2:
+        return True
     for subset, comp in colorset_components(g, colors, p):
         budget = len(subset)
-        if len(comp) <= budget or 1 in Counter(colors[v] for v in comp).values():
-            continue
+        if (budget == 2 or len(comp) <= budget
+                or len(_repeated_colors(colors, comp)) < budget):
+            continue  # a pair was decided above; else a color occurs once
         if treedepth_at_most(g, budget, comp) is None:
             return False
     return True
+
+
+def _repeated_colors(colors, vertices):
+    """The colors that two or more of the vertices carry."""
+    seen, twice = set(), set()
+    for v in vertices:
+        c = colors[v]
+        if c in seen:
+            twice.add(c)
+        else:
+            seen.add(c)
+    return twice
 
 
 def _smallest_violation(g, p, coloring):
@@ -320,6 +367,7 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=CHI_P_LIMIT):
     pos = {v: i for i, v in enumerate(order)}
     out, inn = _neighbour_sets(g.n, ((u, v) if pos[u] < pos[v] else (v, u)
                                      for u, v in g.edges))
+    del pos  # not needed in the rounds, whose peels set the peak memory
     adj = g.adj
     for r in range(max_rounds + 1):
         if r > 0:

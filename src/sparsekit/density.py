@@ -409,21 +409,23 @@ def grad(g, r, exact_limit=12):
     sets = []
     nbrs = []
 
+    # densities compare by cross-multiplication: x / y > best[0] with y > 0
+    # iff x * den > num * y
     def bound_allows(e, h, blocked, internal):
         free = n - bin(blocked).count("1")
         budget = m - internal - e
-        top = best[0]
+        num, den = best[0].numerator, best[0].denominator
         for a in range(free + 1):
             if h + a == 0:
                 continue
             gain = min(a * h + a * (a - 1) // 2, budget)
-            if Fraction(e + gain, h + a) > top:
+            if (e + gain) * den > num * (h + a):
                 return True
         return False
 
     def rec(v, blocked, e, internal):
         h = len(sets)
-        if h and Fraction(e, h) > best[0]:
+        if h and e * best[0].denominator > best[0].numerator * h:
             edges_h = [
                 (i, j)
                 for i, j in combinations(range(h), 2)

@@ -260,7 +260,8 @@ def treedepth_at_most(g, k, vertices=None):
         inside_deg = {v: sum(1 for w in g.adj[v] if w in vset) for v in vertices}
         for root in sorted(vertices, key=lambda v: (-inside_deg[v], v)):
             rest = [v for v in vertices if v != root]
-            comps = subset_components(g, rest)
+            # largest first: it is the likeliest to fail, which ends the try
+            comps = sorted(subset_components(g, rest), key=len, reverse=True)
             if all(solve(comp, budget - 1, root) for comp in comps):
                 parent[root] = par
                 memo[key] = root

@@ -250,6 +250,61 @@ def test_verify_ltd_matches_oracle_on_random_colorings():
     assert outcomes[True] >= 800 and outcomes[False] >= 1400, outcomes
 
 
+def _two_color_cases():
+    """(graph, colors) built around two colors: stars (center first and
+    last, so both edge orientations occur), double stars, K_2,t and even
+    cycles colored by their sides, and random bipartite hosts with n up to
+    60 colored by their sides, some vertices then moved to a third or
+    fourth color that no neighbour has; also paths colored 4, 7, 9 in
+    turn, which only the three colors can make fail."""
+    cases = []
+    for t in range(1, 7):
+        cases.append((Graph(t + 1, [(0, i) for i in range(1, t + 1)]), [4] + [7] * t))
+        cases.append((Graph(t + 1, [(i, t) for i in range(t)]), [7] * t + [4]))
+        cases.append((Graph(t + 2, [(a, b) for a in (0, 1) for b in range(2, t + 2)]),
+                      [4, 4] + [7] * t))
+    for a in range(4):
+        for b in range(4):
+            # centers 0 and 1, a leaves on 0 and b leaves on 1
+            edges = [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+            cases.append((Graph(2 + a + b, edges), [4, 7] + [7] * a + [4] * b))
+    for k in range(2, 8):
+        cases.append((named(f"C_{2 * k}"), [4, 7] * k))
+    for n in range(3, 17):
+        # every pair induces a matching, so only the three colors can fail
+        cases.append((named(f"P_{n}"), ([4, 7, 9] * n)[:n]))
+    rng = Xoshiro256(18)
+    for seed in range(150):
+        n = 2 + rng.randrange(59)
+        side = [rng.randrange(2) for _ in range(n)]
+        percent = 1 + rng.randrange(1 + 400 // n)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if side[u] != side[v] and rng.randrange(100) < percent])
+        colors = [4 + 3 * s for s in side]
+        for v in range(n):
+            if rng.randrange(8) == 0:
+                free = [c for c in (0, 9) if all(colors[w] != c for w in g.adj[v])]
+                if free:
+                    colors[v] = free[0]
+        cases.append((g, colors))
+    return cases
+
+
+def test_ltd_holds_two_color_rule_matches_oracle():
+    # the two-color rule decides every pair of colors, for p = 2 alone and
+    # beside the larger sets at p = 3; it is caught if it tests only one
+    # end of the edge, or counts the edge's own endpoint as a second
+    # neighbour of its color, and the unique-color shortcut if it skips a
+    # set whose colors all repeat
+    outcomes = {True: 0, False: 0}
+    for g, colors in _two_color_cases():
+        for p in (2, 3):
+            ok = decomposition._ltd_holds(g, p, colors)
+            assert ok == verify_ltd_oracle(g, p, Coloring(colors))[0], (g.edges, colors, p)
+            outcomes[ok] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
 def test_verify_ltd_exact_test_on_component_without_unique_color():
     # {0,1,2} spans all of P_6 with every color twice: the exact test runs
     # and td(P_6) = 3 passes

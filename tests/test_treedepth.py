@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -21,6 +23,7 @@ from sparsekit import (
     verify_vertex_ranking,
 )
 from sparsekit.graphs import colorset_components, induced_subgraph, subset_components
+from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import NO_PARENT, ranking_from_forest
 
 from conftest import random_graph, treedepth_oracle
@@ -290,6 +293,23 @@ def test_treedepth_at_most_on_vertex_sets(peel_sample):
             assert _check_on_vertex_set(g, union, p)
     assert verdicts[True] >= 20000 and verdicts[False] >= 10000, verdicts
     assert disconnected >= 100, disconnected
+
+
+def test_treedepth_at_most_witnesses_pinned():
+    # the forest (or None) for random graphs, budgets and vertex sets, pinned
+    # by digest: the order in which a root's components are solved decides
+    # only how soon a refutation ends, never which forest is returned
+    rng = Xoshiro256(18)
+    rows = []
+    for seed in range(800):
+        n = 2 + rng.randrange(23)
+        g = random_graph(n, 8 + rng.randrange(50), seed=seed)
+        k = 1 + rng.randrange(5)
+        vertices = [v for v in range(n) if rng.randrange(4)]
+        rows.append(treedepth_at_most(g, k, vertices))
+    assert sum(parent is None for parent in rows) == 473
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "d1b046c3ad23119a76fbb28a35c0ee4200d2f01757931a37792ac33a6b6ca004"
 
 
 def test_treedepth_at_most_rejects_out_of_range_vertices():
