@@ -194,9 +194,10 @@ def count_ltd(query, decomposition=None):
     disjoint, so the grand total needs no inclusion-exclusion. The DP runs
     once per piece: a color set with the vertices that can hold such a copy.
     A connected pattern's copies each lie in one component of G[I] that uses
-    every color of I, so its pieces are those components; any other
-    pattern's pieces are the unions of at most |H| color classes. Matches
-    count_bruteforce on its whole domain.
+    every color of I, so its pieces are those components, from
+    colorset_components (K_1's are the color classes' components); only a
+    disconnected pattern's pieces are the unions of at most |H| color
+    classes. Matches count_bruteforce on its whole domain.
     """
     h, g = query.pattern, query.host
     induced = query.mode == MODE_INDUCED
@@ -211,7 +212,7 @@ def count_ltd(query, decomposition=None):
                               f"vertices, the host has {g.n}")
     colors = decomposition.coloring.assignment
     aut = automorphism_count(h)
-    if h.n >= 2 and is_connected_mask(h.adj_mask, (1 << h.n) - 1):
+    if is_connected_mask(h.adj_mask, (1 << h.n) - 1):
         pieces = colorset_components(g, colors, h.n)
     else:
         pieces = _colorset_unions(colors, h.n)

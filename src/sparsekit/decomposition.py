@@ -6,11 +6,12 @@ The augmentation schedule starts at zero rounds and escalates until the
 output verifies, so palettes stay as small as the graph allows; correctness
 comes from the verifier, never from trusting the construction.
 
-The verifier decides a coloring from the connected pieces that carry each
-color set, not from every set. The coloring holds (every set I of at most p
-colors induces td <= |I|) exactly when no edge is monochromatic (the sets
-of size 1) and, for every I of 2..p colors connected in the color graph,
-each component C of G[I] that uses all colors of I has td <= |I|.
+The verifier decides a coloring from its pieces, not from every color set.
+A piece is a set I of 1..p colors with a component C of G[I] that uses
+every color of I; colorset_components yields them all. The coloring holds
+(every set I of at most p colors induces td <= |I|) exactly when each
+piece has td(C) <= |I|, and the one-color pieces hold exactly when no edge
+is monochromatic.
 
 The pairs are decided together, in one pass over the edges (the two-color
 rule; at p = 2 it makes the coloring a star coloring). Under a proper
@@ -28,10 +29,10 @@ deleting the one vertex of color c from C leaves components of G[I - c],
 each of td <= |I| - 1, so td(C) <= |I|. Only the components left need the
 exact test.
 
-A failing coloring's counterexample comes from the same components by the
-superset rule. A component C of G[I] is a full-spectrum component of G[J]
-for its spectrum J (a color class's component when |J| = 1), and such a C
-lies in a component of G[I] of td >= td(C) for every I containing J. So the
+A failing coloring's counterexample comes from the same pieces by the
+superset rule. A component C of G[I] is a piece's component for its
+spectrum J (a color class's component when |J| = 1), and such a C lies
+in a component of G[I] of td >= td(C) for every I containing J. So the
 smallest I that C makes violate adds to J the smallest colors absent from J
 and below max(J), up to min(p, td(C) - 1) colors. That set with p colors
 is a lower bound, so the components are tested in its order and the scan
@@ -39,7 +40,7 @@ stops once it reaches the best set found. These tests skip the shortcut,
 whose induction assumes that the smaller sets hold.
 """
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from .errors import SizeLimitError, SparsekitError, ValidationError
@@ -307,19 +308,14 @@ def _smallest_violation(g, p, coloring):
     """The lexicographically smallest color set inducing td above its size,
     for a failing coloring, by the superset rule of the module docstring."""
     colors = coloring.assignment
-    classes = {}  # only the colors present: the declared palette may be huge
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    palette = sorted(classes)
+    palette = sorted(set(colors))  # not the declared palette, which may be huge
 
     def smallest_superset(spectrum, size):
         # every color below max(spectrum) makes the tuple smaller
         extra = [c for c in palette if c < spectrum[-1] and c not in spectrum]
         return tuple(sorted(spectrum + tuple(extra[:size - len(spectrum)])))
 
-    singles = (((c,), comp) for c in palette for comp in subset_components(g, classes[c]))
-    pieces = [(spectrum, comp)
-              for spectrum, comp in chain(singles, colorset_components(g, colors, p))
+    pieces = [(spectrum, comp) for spectrum, comp in colorset_components(g, colors, p)
               if len(comp) > len(spectrum)]
     # tested in the order of the smallest set each could make violate
     reach = {spectrum: smallest_superset(spectrum, p) for spectrum, _ in pieces}
@@ -446,12 +442,10 @@ def cluster_cover(g, t):
     """Tree-depth cluster cover from a verified decomposition: clusters are
     the components of every <= t-color-subset-induced subgraph, with
     clusters strictly inside another dropped. A component of G[I] is one of
-    G[J] for its spectrum J, and the coloring is proper, so the components
-    using all colors of connected color sets, and single vertices, are all
+    G[J] for its spectrum J, so the full components of 1..t colors are all
     of them."""
     colors = ltd_coloring(g, t).coloring.assignment
-    found = {frozenset((v,)) for v in range(g.n)}
-    found.update(frozenset(comp) for _, comp in colorset_components(g, colors, t))
+    found = {frozenset(comp) for _, comp in colorset_components(g, colors, t)}
     maximal = [c for c in found
                if not any(c < other for other in found)]
     maximal.sort(key=lambda c: tuple(sorted(c)))

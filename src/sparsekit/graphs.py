@@ -8,6 +8,7 @@ the treedepth and density modules).
 
 import math
 import re
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -303,9 +304,12 @@ def named(name):
                     if i + 1 < r:
                         edges.append((v, v + c))
             return Graph(r * c, edges)
-        if kind == "subdivision":
-            p = int(mt.group(1))
-            return subdivide(named(mt.group(2)), p)
+        if kind == "subdivision":  # peeled in a loop: names nest thousands deep
+            counts = []
+            while mt:
+                counts.append(int(mt.group(1)))
+                mt = rx.match(name := mt.group(2))
+            return reduce(subdivide, reversed(counts), named(name))
     raise ValidationError(f"unknown graph name {name!r}")
 
 
@@ -465,25 +469,28 @@ def connected_subsets(adj, nodes, max_size):
 
 def colorset_components(g, colors, max_size):
     """(color set as a sorted tuple, component as a vertex list) for each
-    component of G[I], 2 <= |I| <= max_size, that uses every color of I (a
-    full component), each yielded once, as soon as it is found.
+    component of G[I], 1 <= |I| <= max_size, that uses every color of I (a
+    full component), each yielded once.
 
-    A pair's full components come from one breadth-first search from its
-    smaller class. A larger set is reached only by extension: a full
-    component C of I touched by a vertex of color c lies in one full
-    component of I + c, which a search from C's neighbours of color c
-    grows. Only colors above min(I) extend I, and that finds them all: a
-    minimal connected subgraph of a full component D of J that meets every
-    color of J is a tree with two or more leaves, each the only vertex of
-    its color in it, so some leaf's color c is not min(J); removing that
-    leaf leaves a connected subgraph of colors J - c, so inside a full
-    component of J - c that the leaf touches. One vertex bitmask per color
-    set, keyed by the ranks of its colors, holds the full components found,
-    so a C whose first vertex it covers is not searched again: the cost
-    follows the output. The bitmasks of the sets with smallest color a go
-    once the pairs with smaller color a are done.
+    A single color's full components are its class's, from one
+    breadth-first search inside the class. A larger set is reached only by
+    extension: a full component C of I touched by a vertex of color c lies
+    in one full component of I + c, which a search from C's neighbours of
+    color c grows. Only colors above min(I) extend I, and that finds them
+    all: a minimal connected subgraph of a full component D of J, |J| >= 2,
+    that meets every color of J is a tree with two or more leaves, each the
+    only vertex of its color in it, so some leaf's color c is not min(J);
+    removing that leaf leaves a connected subgraph of colors J - c, so
+    inside a full component of J - c that the leaf touches. One vertex set
+    per color set, keyed by the ranks of its colors, holds the full
+    components found and is the seen set of the searches that grow more,
+    so a C whose first vertex it holds is not searched again: the cost
+    follows the output. The vertex sets go before the components of each
+    class are grown, as every set reached from a class has that class's
+    color as its smallest. Found components wait on a stack, so growing
+    many colors deep takes no recursion.
     """
-    if max_size < 2:
+    if max_size < 1:
         return
     adj = g.adj
     classes = {}
@@ -491,69 +498,47 @@ def colorset_components(g, colors, max_size):
         classes.setdefault(c, []).append(v)
     rank_bit = {c: 1 << i for i, c in enumerate(sorted(classes))}
     vbit = [rank_bit[c] for c in colors]
-    found = {}  # rank bitmask of a color set -> vertex bitmask of its found components
+    found = {}  # rank bitmask of a color set -> the vertices of its found components
 
-    def extend(spectrum, key, comp):
-        low = key & -key  # the rank bit of min(spectrum)
-        border = {}  # rank bit of a color above it, not in the set -> comp's neighbours of it
-        for u in comp:
+    def spread(starts, seen, key):
+        # the vertices of key's colors outside seen reached from starts
+        grown = []
+        for w in starts:
+            if w not in seen:
+                seen.add(w)
+                grown.append(w)
+        for u in grown:  # breadth-first: grown grows while it is scanned
             for w in adj[u]:
-                b = vbit[w]
-                if b > low and not b & key:
-                    border.setdefault(b, []).append(w)
-        first = comp[0]
-        for b, starts in border.items():
-            wider = key | b
-            covered = found.get(wider, 0)
-            if covered >> first & 1:
-                continue
-            seen = set(comp)
-            grown = []
-            for w in starts:
-                if w not in seen:
+                if vbit[w] & key and w not in seen:
                     seen.add(w)
                     grown.append(w)
-            for u in grown:  # breadth-first: grown grows while it is scanned
-                for w in adj[u]:
-                    if vbit[w] & wider and w not in seen:
-                        seen.add(w)
-                        grown.append(w)
-            grown = comp + grown
-            found[wider] = covered | mask_of(grown)
-            subset = tuple(sorted((*spectrum, colors[starts[0]])))
-            yield subset, grown
-            if len(subset) < max_size:
-                yield from extend(subset, wider, grown)
+        return grown
 
-    above = {c: set() for c in classes}  # the colors an edge joins to c, above c
-    for u, v in g.edges:
-        a, b = colors[u], colors[v]
-        if a < b:
-            above[a].add(b)
-        elif b < a:
-            above[b].add(a)
-    for a in sorted(above):
-        found.clear()  # every set reached from here on has smallest color a
-        for b in sorted(above[a]):
-            pair = (a, b)
-            key = rank_bit[a] | rank_bit[b]
-            seen = set()
-            for s in min(classes[a], classes[b], key=len):
-                if s in seen:
+    for c in sorted(classes):
+        found.clear()  # every set reached from here on has smallest color c
+        key, seen = rank_bit[c], set()
+        stack = [((c,), key, comp) for s in classes[c] if (comp := spread((s,), seen, key))]
+        while stack:
+            spectrum, key, comp = stack.pop()
+            yield spectrum, comp
+            if len(spectrum) == max_size:
+                continue
+            low = key & -key  # the rank bit of min(spectrum)
+            border = {}  # rank bit of a color above it, not in the set -> comp's neighbours of it
+            for u in comp:
+                for w in adj[u]:
+                    b = vbit[w]
+                    if b > low and not b & key:
+                        border.setdefault(b, []).append(w)
+            first = comp[0]
+            for b, starts in border.items():
+                wider = key | b
+                covered = found.setdefault(wider, set())
+                if first in covered:
                     continue
-                seen.add(s)
-                comp = [s]
-                for u in comp:  # breadth-first: comp grows while it is scanned
-                    for w in adj[u]:
-                        if vbit[w] & key and w not in seen:
-                            seen.add(w)
-                            comp.append(w)
-                # comp[1] neighbours s, so has the other color unless an edge is monochromatic
-                if len(comp) > 1 and (vbit[comp[1]] != vbit[s]
-                                      or any(vbit[v] != vbit[s] for v in comp)):
-                    yield pair, comp
-                    if max_size > 2:
-                        yield from extend(pair, key, comp)
+                covered.update(comp)  # the search meets no other component of wider
+                grown = comp + spread(starts, covered, wider)
+                stack.append((tuple(sorted((*spectrum, colors[starts[0]]))), wider, grown))
 
 
 def girth(g):
@@ -665,12 +650,11 @@ def peel_smallest_last(adj, verts):
     return peeled
 
 
-def smallest_last_order(g, subset=None):
+def smallest_last_order(g):
     """Smallest-last vertex order: repeatedly peel a minimum-degree vertex
     (smallest id on ties) and place it last; the peeling order is the
     reverse. O((n + m) log n) through peel_smallest_last."""
-    verts = range(g.n) if subset is None else subset
-    return [v for v, _ in peel_smallest_last(g.adj, verts)][::-1]
+    return [v for v, _ in peel_smallest_last(g.adj, range(g.n))][::-1]
 
 
 def degeneracy(g):

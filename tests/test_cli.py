@@ -336,3 +336,15 @@ def test_bad_input_is_one_json_error_line(tmp_path, contents, args):
     lines = err.splitlines()
     assert len(lines) == 1, err
     check("error", json.loads(lines[0]))
+
+
+def test_nested_subdivision_names(capsys):
+    # sub_p(...) nested 3,000 deep is K_2 again: no RecursionError
+    from sparsekit import cli
+
+    name = "named:" + "sub_0(" * 3000 + "K_2" + ")" * 3000
+    for args in (["td"], ["gen"]):
+        assert cli.main(args + [name]) == 0
+        deep = capsys.readouterr()
+        assert cli.main(args + ["named:K_2"]) == 0
+        assert deep == capsys.readouterr() and deep.err == "", args

@@ -2,8 +2,10 @@ import pytest
 
 from sparsekit import (
     BudgetExceededError,
+    Coloring,
     CountQuery,
     Graph,
+    LtdDecomposition,
     SizeLimitError,
     Sunflower,
     ValidationError,
@@ -153,7 +155,7 @@ def test_count_pieces_match_oracle():
         dec = ltd_coloring(g, 4)
         colors = dec.coloring.assignment
         for h in PIECE_PATTERNS:
-            if h.n >= 2 and is_connected_mask(h.adj_mask, (1 << h.n) - 1):
+            if is_connected_mask(h.adj_mask, (1 << h.n) - 1):
                 pieces = colorset_components(g, colors, h.n)
                 oracle = count_connected_pattern_oracle
             else:
@@ -179,6 +181,15 @@ def test_count_ltd_rejects_decomposition_of_another_graph():
         dec = ltd_coloring(named(other), 3)
         with pytest.raises(ValidationError):
             count_ltd(CountQuery(named(h), named(g)), decomposition=dec)
+
+
+def test_count_ltd_rejects_one_color_decomposition():
+    # one color on P_4: its class induces td 3, so every pattern's count
+    # reaches a piece that breaks the decomposition, one-color pieces too
+    dec = LtdDecomposition(Coloring([0, 0, 0, 0]), 4, 0, False)
+    for h in (named("K_2"), named("P_3"), named("K_1"), Graph(3, [(0, 1)])):
+        with pytest.raises(ValidationError):
+            count_ltd(CountQuery(h, named("P_4")), decomposition=dec)
 
 
 def test_labeled_over_automorphisms_consistency():

@@ -32,6 +32,7 @@ from sparsekit.graphs import (
     connected_subsets,
     is_connected_mask,
     mask_of,
+    peel_smallest_last,
     smallest_last_order,
     subset_components,
 )
@@ -222,9 +223,10 @@ def test_connected_subsets_yield_each_connected_set_once(small_graph_sample):
 
 def test_colorset_components_match_oracle(peel_sample):
     # the same (colour set, sorted component) multiset as the per-set
-    # breadth-first search, each pair once, on proper colourings from
+    # breadth-first search for two or more colours, each set once, and the
+    # components of each class for one colour, on proper colourings from
     # ltd_coloring and random improper ones, with colour values shifted to
-    # leave gaps or to reach 10^9; p = 1 yields nothing
+    # leave gaps or to reach 10^9
     graphs = [(g, 5 if g.n <= 8 else 3) for g in peel_sample]
     for seed in (1, 2):
         for n in (40, 90):
@@ -247,9 +249,10 @@ def test_colorset_components_match_oracle(peel_sample):
                 want = [(s, tuple(sorted(comp)))
                         for s, comps in colorset_components_oracle(g, colors, p)
                         for comp in comps]
+                want += [((c,), comp) for c in set(colors) for comp in
+                         subset_components(g, [v for v in range(g.n) if colors[v] == c])]
                 assert len(got) == len(set(got))
                 assert sorted(got) == sorted(want)
-                assert p > 1 or not got
                 cases += 1
     assert cases >= 1800, cases
 
@@ -284,7 +287,8 @@ def test_smallest_last_order_matches_full_scan_peel(peel_sample):
         assert smallest_last_order(g) == smallest_last_order_oracle(g), g
         assert degeneracy(g) == degeneracy_peel_oracle(g), g
         for subset in (range(0, g.n, 2), [v for v in reversed(range(g.n)) if v % 3]):
-            assert smallest_last_order(g, subset) == smallest_last_order_oracle(g, subset), g
+            order = [v for v, _ in peel_smallest_last(g.adj, subset)][::-1]
+            assert order == smallest_last_order_oracle(g, subset), g
 
 
 def test_smallest_last_order_ties_go_to_smallest_id():

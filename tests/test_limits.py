@@ -118,7 +118,6 @@ SETTABLE = {
     "counting.verify_sunflower.product_budget",
     "graphs.clique_number.exact_limit",
     "graphs.chromatic_number.exact_limit",
-    "graphs.smallest_last_order.subset",
     # optional inputs, not limits
     "cli.main.argv",
     "counting.CountQuery.mode",

@@ -274,18 +274,15 @@ def _check_on_vertex_set(g, vertices, k):
 
 def test_treedepth_at_most_on_vertex_sets(peel_sample):
     # every component of G[I], |I| <= p, of the decompositions ltd_coloring
-    # builds: the color classes' components and the full-spectrum ones of
-    # the connected color sets; plus G[I] for the p smallest colors, which
-    # is usually disconnected
+    # builds: the full components of colorset_components, the color classes'
+    # included; plus G[I] for the p smallest colors, which is usually
+    # disconnected
     verdicts = {True: 0, False: 0}
     disconnected = 0
     for g in peel_sample:
         for p in (2, 3):
             colors = ltd_coloring(g, p).coloring.assignment
-            sets = [((c,), comp) for c in sorted(set(colors))
-                    for comp in subset_components(g, [v for v in range(g.n) if colors[v] == c])]
-            sets += colorset_components(g, colors, p)
-            for subset, comp in sets:
+            for subset, comp in colorset_components(g, colors, p):
                 for k in (len(subset) - 1, len(subset)):
                     verdicts[_check_on_vertex_set(g, comp, k)] += 1
             union = [v for v in range(g.n) if colors[v] < p]
