@@ -50,6 +50,7 @@ from .graphs import (
     Orientation,
     colorset_components,
     connected_subsets,
+    orient_by_order,
     peel_smallest_last,
     smallest_last_order,
     subset_components,
@@ -237,14 +238,13 @@ def _tf_round(out, inn):
 
 
 def _orient_smallest_last(edges):
-    """Orient an edge list by smallest-last peeling of the graph it forms;
-    surviving neighbors point into the peeled vertex."""
-    adj = {}
+    """Orient a list of distinct edges by orient_by_order on the smallest-last
+    order of the graph they form on ids 0..max id."""
+    adj = [[] for _ in range(1 + max(map(max, edges), default=-1))]
     for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    pos = {v: i for i, (v, _) in enumerate(peel_smallest_last(adj, adj))}
-    return [(u, v) if pos[u] > pos[v] else (v, u) for u, v in edges]
+        adj[u].append(v)
+        adj[v].append(u)
+    return orient_by_order([v for v, _ in peel_smallest_last(adj)][::-1], edges)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +337,12 @@ def _smallest_violation(g, p, coloring):
 # ---------------------------------------------------------------------------
 # construction
 
-# Largest graph chi_p_bruteforce takes, and ltd_coloring's default for its
-# fallback to the same exact search.
+# Largest graph chi_p_bruteforce takes, and the largest on which ltd_coloring
+# falls back to the same exact search.
 CHI_P_LIMIT = 8
 
 
-def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=CHI_P_LIMIT):
+def ltd_coloring(g, p, max_rounds=None):
     """Low tree-depth decomposition with parameter p.
 
     Seeds a degeneracy orientation, augments it round by round (0 up to
@@ -350,8 +350,8 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=CHI_P_LIMIT):
     augmented graph smallest-last, and returns the first coloring that
     verifies. Starting from zero rounds keeps the palette small on easy
     inputs (a proper coloring already suffices for p = 1). If no round
-    verifies, small graphs fall back to the exact brute-force optimum;
-    otherwise the last counterexample is raised.
+    verifies, graphs of at most CHI_P_LIMIT vertices fall back to the exact
+    brute-force optimum; otherwise the last counterexample is raised.
     """
     if p < 1:
         raise ValidationError("p must be >= 1")
@@ -360,21 +360,18 @@ def ltd_coloring(g, p, max_rounds=None, exact_fallback_limit=CHI_P_LIMIT):
     if max_rounds < 0:
         raise ValidationError("max_rounds must be >= 0")
     order = smallest_last_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    out, inn = _neighbour_sets(g.n, ((u, v) if pos[u] < pos[v] else (v, u)
-                                     for u, v in g.edges))
-    del pos  # not needed in the rounds, whose peels set the peak memory
+    out, inn = _neighbour_sets(g.n, orient_by_order(order, g.edges))
     adj = g.adj
     for r in range(max_rounds + 1):
         if r > 0:
             _tf_round(out, inn)
-            adj = [heads | tails for heads, tails in zip(out, inn)]
-            order = [v for v, _ in reversed(peel_smallest_last(adj, range(g.n)))]
+            adj = [[*heads, *tails] for heads, tails in zip(out, inn)]
+            order = [v for v, _ in peel_smallest_last(adj)][::-1]
         coloring = _greedy_coloring(adj, order)
         outcome = verify_ltd(g, p, coloring)
         if outcome:
             return LtdDecomposition(coloring, p, rounds_used=r, verified=True)
-    if g.n <= exact_fallback_limit:
+    if g.n <= CHI_P_LIMIT:
         _, coloring = _chi_p_search(g, p)
         return LtdDecomposition(coloring, p, rounds_used=max_rounds,
                                 verified=True)

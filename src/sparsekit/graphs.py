@@ -99,8 +99,8 @@ class Graph:
 # bitmask helpers (shared by the exact solvers)
 
 def component_masks(adj_mask, mask):
-    """Split the vertex bitmask into connected components of the induced graph."""
-    comps = []
+    """Yield the connected components of the graph induced on the vertex
+    bitmask, as bitmasks, by smallest member."""
     rest = mask
     while rest:
         start = rest & -rest
@@ -112,24 +112,14 @@ def component_masks(adj_mask, mask):
             nbrs = adj_mask[v.bit_length() - 1] & mask & ~comp
             comp |= nbrs
             frontier |= nbrs
-        comps.append(comp)
+        yield comp
         rest &= ~comp
-    return comps
 
 
 def is_connected_mask(adj_mask, mask):
-    if mask == 0:
-        return True
-    start = mask & -mask
-    comp = start
-    frontier = start
-    while frontier:
-        v = frontier & -frontier
-        frontier ^= v
-        nbrs = adj_mask[v.bit_length() - 1] & mask & ~comp
-        comp |= nbrs
-        frontier |= nbrs
-    return comp == mask
+    """True iff the vertex bitmask induces a connected graph (or is empty):
+    the first component component_masks yields is all of it."""
+    return next(component_masks(adj_mask, mask), 0) == mask
 
 
 def mask_vertices(mask):
@@ -623,30 +613,30 @@ class Orientation:
         return [sorted(x) for x in out]
 
 
-def peel_smallest_last(adj, verts):
+def peel_smallest_last(adj):
     """(vertex, live degree) pairs in smallest-last peeling order of the graph
-    induced on verts (nonnegative ids); adj[v] lists v's neighbours.
+    on 0..len(adj)-1, where adj[v] lists v's neighbours without repeats.
 
-    The heap holds degree * span + id, span above every id, so it pops the
-    minimum live degree, then the smallest id (an int compares faster than
-    a (degree, id) tuple). Each degree drop pushes a new key, which pops
-    before the vertex's older ones, so those are skipped.
+    The heap holds degree * n + id, so it pops the minimum live degree, then
+    the smallest id (an int compares faster than a (degree, id) tuple). Each
+    degree drop pushes a new key, which pops before the vertex's older
+    ones, so those are skipped.
     """
-    alive = set(verts)
-    span = max(alive, default=0) + 1
-    deg = {v: len(alive.intersection(adj[v])) for v in alive}
-    heap = [d * span + v for v, d in deg.items()]
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
+    alive = [True] * n
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapify(heap)
     peeled = []
     while heap:
-        d, v = divmod(heappop(heap), span)
-        if v in alive:
-            alive.remove(v)
+        d, v = divmod(heappop(heap), n)
+        if alive[v]:
+            alive[v] = False
             peeled.append((v, d))
             for w in adj[v]:
-                if w in alive:
+                if alive[w]:
                     deg[w] -= 1
-                    heappush(heap, deg[w] * span + w)
+                    heappush(heap, deg[w] * n + w)
     return peeled
 
 
@@ -654,28 +644,30 @@ def smallest_last_order(g):
     """Smallest-last vertex order: repeatedly peel a minimum-degree vertex
     (smallest id on ties) and place it last; the peeling order is the
     reverse. O((n + m) log n) through peel_smallest_last."""
-    return [v for v, _ in peel_smallest_last(g.adj, range(g.n))][::-1]
+    return [v for v, _ in peel_smallest_last(g.adj)][::-1]
 
 
 def degeneracy(g):
     """Max over subgraphs of minimum degree, via the peeling order."""
-    return max((d for _, d in peel_smallest_last(g.adj, range(g.n))), default=0)
+    return max((d for _, d in peel_smallest_last(g.adj)), default=0)
+
+
+def orient_by_order(order, edges):
+    """Each edge as an arc into its endpoint later in order, a smallest-last
+    order of vertices 0..len(order)-1: when a vertex is peeled, its
+    surviving neighbours point into it, so no in-degree exceeds the
+    degeneracy and the orientation is acyclic."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return [(u, v) if pos[u] < pos[v] else (v, u) for u, v in edges]
 
 
 def degeneracy_orientation(g):
-    """Acyclic orientation from the smallest-last order; when a vertex is
-    peeled its surviving neighbors point into it, so max in-degree equals
-    the degeneracy.
-    """
-    order = smallest_last_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    arcs = []
-    for u, v in g.edges:
-        a = (u, v) if pos[u] < pos[v] else (v, u)
-        arcs.append(a)
-    kind = {a: ARC_ORIGINAL for a in arcs}
-    rnd = {a: 0 for a in arcs}
-    return Orientation(g, arcs, kind, rnd)
+    """Acyclic orientation of g's edges by orient_by_order on the
+    smallest-last order, so max in-degree equals the degeneracy."""
+    arcs = orient_by_order(smallest_last_order(g), g.edges)
+    return Orientation(g, arcs, dict.fromkeys(arcs, ARC_ORIGINAL), dict.fromkeys(arcs, 0))
 
 
 # ---------------------------------------------------------------------------

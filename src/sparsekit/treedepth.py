@@ -170,8 +170,9 @@ def treedepth_exact(g, exact_limit=18):
     """Exact tree-depth with a witness forest of matching height.
 
     Delete-a-vertex recursion over connected bitmask subsets, components
-    split first, memoized. Among minimizing deletion vertices the smallest
-    id wins, so the witness is deterministic.
+    split first, memoized; the witness is read off the memo in a loop.
+    Among minimizing deletion vertices the smallest id wins, so the witness
+    is deterministic.
     """
     if g.n > exact_limit:
         raise SizeLimitError(f"treedepth_exact limited to {exact_limit} vertices, got {g.n}")
@@ -179,23 +180,19 @@ def treedepth_exact(g, exact_limit=18):
         return 0, EliminationForest([])
     adj = g.adj_mask
     td_of = bitmask_td_solver(g)
-    memo = td_of.memo
-
-    def build(mask, parent, out_parent):
-        for comp in component_masks(adj, mask):
-            td_of.td_conn(comp)
-            root = memo[comp][1]
-            out_parent[root] = parent
-            rest = comp ^ (1 << root)
-            if rest:
-                build(rest, root, out_parent)
-
     full = (1 << g.n) - 1
     value = td_of(full)
     parent = [NO_PARENT] * g.n
-    build(full, NO_PARENT, parent)
-    forest = EliminationForest(parent)
-    return value, forest
+    stack = [(full, NO_PARENT)]  # a vertex set left to root, under its parent
+    while stack:
+        mask, above = stack.pop()
+        for comp in component_masks(adj, mask):
+            td_of.td_conn(comp)
+            root = td_of.memo[comp][1]
+            parent[root] = above
+            if comp != 1 << root:
+                stack.append((comp ^ (1 << root), root))
+    return value, EliminationForest(parent)
 
 
 def treedepth_at_most(g, k, vertices=None):

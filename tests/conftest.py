@@ -123,12 +123,11 @@ def degeneracy_oracle(g):
 # smallest-last peel oracles: the full-scan min(alive, ...) peels, one per
 # former caller, kept to check the shared heap peel against
 
-def smallest_last_order_oracle(g, subset=None):
-    verts = sorted(subset) if subset is not None else list(range(g.n))
-    alive = set(verts)
-    deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in verts}
+def smallest_last_order_oracle(g):
+    alive = set(range(g.n))
+    deg = {v: g.degree(v) for v in alive}
     order = []
-    for _ in range(len(verts)):
+    for _ in range(g.n):
         v = min(alive, key=lambda x: (deg[x], x))
         order.append(v)
         alive.remove(v)

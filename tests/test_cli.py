@@ -1,7 +1,10 @@
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -348,3 +351,24 @@ def test_nested_subdivision_names(capsys):
         deep = capsys.readouterr()
         assert cli.main(args + ["named:K_2"]) == 0
         assert deep == capsys.readouterr() and deep.err == "", args
+
+
+def test_td_exact_witness_on_a_deep_clique(capsys):
+    # K_1200's witness forest is one path 1,200 deep: built without recursion
+    from sparsekit import cli
+
+    assert cli.main(["td", "--exact-limit", "2000", "named:K_1200"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["treedepth"] == 1200 and out.err == ""
+
+
+def test_bench_tracer_names_resolve():
+    # bench/tracer.py rebinds these by name; a renamed one breaks --trace runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TRACED.items():
+        namespace = importlib.import_module(f"sparsekit.{module}")
+        for name in names:
+            assert inspect.isfunction(getattr(namespace, name, None)), (module, name)

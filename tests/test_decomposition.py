@@ -389,17 +389,20 @@ def test_ltd_coloring_derives_a_counterexample_only_to_raise(monkeypatch):
     # rounds 0 and 1 fail on C_6 at p = 3, round 2 verifies
     assert ltd_coloring(named("C_6"), 3).rounds_used == 2
     assert calls == []
+    monkeypatch.setattr(decomposition, "CHI_P_LIMIT", 0)
     with pytest.raises(LtdVerificationError):
-        ltd_coloring(named("C_6"), 3, max_rounds=1, exact_fallback_limit=0)
+        ltd_coloring(named("C_6"), 3, max_rounds=1)
     assert len(calls) == 1
 
 
-def test_ltd_failure_counterexample_is_lexicographically_smallest(small_graph_sample):
+def test_ltd_failure_counterexample_is_lexicographically_smallest(small_graph_sample,
+                                                                   monkeypatch):
+    monkeypatch.setattr(decomposition, "CHI_P_LIMIT", 0)
     found = set()
     for g in small_graph_sample:
         for p in (2, 3, 4):
             try:
-                ltd_coloring(g, p, max_rounds=0, exact_fallback_limit=0)
+                ltd_coloring(g, p, max_rounds=0)
             except LtdVerificationError as exc:
                 tried = next(_tf_round_colorings(g))
                 assert verify_ltd_oracle(g, p, tried) == (False, exc.counterexample)
@@ -467,11 +470,12 @@ def test_ltd_coloring_rejects_negative_max_rounds():
         ltd_coloring(named("Petersen"), 2, max_rounds=-1)
 
 
-def test_ltd_failure_reports_counterexample():
+def test_ltd_failure_reports_counterexample(monkeypatch):
     # with zero rounds P_4 only gets its 2-coloring, whose union is all of P_4
+    monkeypatch.setattr(decomposition, "CHI_P_LIMIT", 0)
     g = named("P_4")
     with pytest.raises(LtdVerificationError) as exc:
-        ltd_coloring(g, 2, max_rounds=0, exact_fallback_limit=0)
+        ltd_coloring(g, 2, max_rounds=0)
     assert len(exc.value.counterexample) == 2
 
 

@@ -32,7 +32,6 @@ from sparsekit.graphs import (
     connected_subsets,
     is_connected_mask,
     mask_of,
-    peel_smallest_last,
     smallest_last_order,
     subset_components,
 )
@@ -44,6 +43,7 @@ from conftest import (
     colorset_components_oracle,
     degeneracy_oracle,
     degeneracy_peel_oracle,
+    orient_smallest_last_oracle,
     random_graph,
     smallest_last_order_oracle,
 )
@@ -286,9 +286,8 @@ def test_smallest_last_order_matches_full_scan_peel(peel_sample):
     for g in peel_sample:
         assert smallest_last_order(g) == smallest_last_order_oracle(g), g
         assert degeneracy(g) == degeneracy_peel_oracle(g), g
-        for subset in (range(0, g.n, 2), [v for v in reversed(range(g.n)) if v % 3]):
-            order = [v for v, _ in peel_smallest_last(g.adj, subset)][::-1]
-            assert order == smallest_last_order_oracle(g, subset), g
+        assert set(degeneracy_orientation(g).arcs) == set(
+            orient_smallest_last_oracle(g.edges)), g
 
 
 def test_smallest_last_order_ties_go_to_smallest_id():

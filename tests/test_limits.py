@@ -114,7 +114,6 @@ SETTABLE = {
     "counting.count_bruteforce.host_limit",
     # set only by the failure-path tests
     "decomposition.ltd_coloring.max_rounds",
-    "decomposition.ltd_coloring.exact_fallback_limit",
     "counting.verify_sunflower.product_budget",
     "graphs.clique_number.exact_limit",
     "graphs.chromatic_number.exact_limit",
