@@ -349,11 +349,13 @@ class Sunflower:
         self.petal_parts = tuple(tuple(sorted(y)) for y in petal_parts)
 
 
-# Largest pattern verify_sunflower takes.
+# Largest pattern verify_sunflower takes, and the most petal tuples it
+# checks.
 SUNFLOWER_PATTERN_LIMIT = 8
+SUNFLOWER_PRODUCT_BUDGET = 10_000
 
 
-def verify_sunflower(g, f, k, sunflower, product_budget=10_000):
+def verify_sunflower(g, f, k, sunflower):
     """Check the five sunflower conditions exhaustively.
 
     Returns (True, None) or (False, reason). Raises BudgetExceededError when
@@ -394,9 +396,9 @@ def verify_sunflower(g, f, k, sunflower, product_budget=10_000):
         if not fam:
             return False, "empty petal family"
         size *= len(fam)
-    if size > product_budget:
+    if size > SUNFLOWER_PRODUCT_BUDGET:
         raise BudgetExceededError(
-            f"cross-product size {size} exceeds budget {product_budget}")
+            f"cross-product size {size} exceeds budget {SUNFLOWER_PRODUCT_BUDGET}")
     for tup in product(*sunflower.families):
         union = list(sunflower.core)
         for x in tup:

@@ -50,10 +50,11 @@ from .graphs import (
     Orientation,
     colorset_components,
     connected_subsets,
+    is_connected_mask,
+    mask_of,
     orient_by_order,
     peel_smallest_last,
     smallest_last_order,
-    subset_components,
 )
 from .treedepth import Coloring, _greedy_coloring, bitmask_td_solver, treedepth_at_most
 
@@ -470,8 +471,9 @@ def verify_cluster_cover(g, cover):
         raise SizeLimitError("verify_cluster_cover enumeration budget exceeded")
     cluster_sets = [frozenset(c) for c in cover.clusters]
     for cluster in cover.clusters:
-        if (len(subset_components(g, cluster)) != 1
-                or treedepth_at_most(g, t, cluster) is None):
+        # the td search refuses a vertex outside g before the mask is built
+        if (not cluster or treedepth_at_most(g, t, cluster) is None
+                or not is_connected_mask(g.adj_mask, mask_of(cluster))):
             return False, ("cluster-td", list(cluster))
     by_vertex = {}
     for i, cs in enumerate(cluster_sets):

@@ -15,11 +15,11 @@ from itertools import combinations
 
 from .errors import SizeLimitError, ValidationError
 from .graphs import (
+    degeneracy,
     induced_subgraph,
     is_connected_mask,
     mask_of,
     mask_vertices,
-    subset_components,
 )
 
 
@@ -363,7 +363,7 @@ def _densest_model(g, r, cls):
 
 
 def _is_forest(g):
-    return g.m == g.n - len(subset_components(g, range(g.n)))
+    return degeneracy(g) <= 1
 
 
 def _unless_search(g, r, cls, name, exact_limit):

@@ -391,27 +391,6 @@ def connected_components(g):
     return [mask_vertices(c) for c in component_masks(g.adj_mask, (1 << g.n) - 1)]
 
 
-def subset_components(g, vertices):
-    """Components of G[vertices] as sorted tuples, ordered by the position of
-    their first member in `vertices` (by smallest member for sorted input)."""
-    adj = g.adj
-    unseen = set(vertices)
-    comps = []
-    for s in vertices:
-        if s not in unseen:
-            continue
-        unseen.remove(s)
-        comp = [s]
-        for u in comp:  # breadth-first: comp grows while it is scanned
-            for w in adj[u]:
-                if w in unseen:
-                    unseen.remove(w)
-                    comp.append(w)
-        comp.sort()
-        comps.append(tuple(comp))
-    return comps
-
-
 def anchored_order(g):
     """Vertices by descending degree (smallest id on ties), each component
     kept contiguous: after the first vertex of a component, every vertex
@@ -673,10 +652,15 @@ def degeneracy_orientation(g):
 # ---------------------------------------------------------------------------
 # exact clique and chromatic number (desk scale, hard refusal above limits)
 
-def clique_number(g, exact_limit=20):
+# Largest graphs the exact ω and χ take.
+CLIQUE_LIMIT = 20
+CHROMATIC_LIMIT = 12
+
+
+def clique_number(g):
     """Exact ω, the size of a maximum clique."""
-    if g.n > exact_limit:
-        raise SizeLimitError(f"clique_number limited to {exact_limit} vertices, got {g.n}")
+    if g.n > CLIQUE_LIMIT:
+        raise SizeLimitError(f"clique_number limited to {CLIQUE_LIMIT} vertices, got {g.n}")
     return len(max_clique(g))
 
 
@@ -719,10 +703,10 @@ def max_clique(g):
     return best[0]
 
 
-def chromatic_number(g, exact_limit=12):
+def chromatic_number(g):
     """Exact χ: lower-bound by ω, then decide k-colorability upward."""
-    if g.n > exact_limit:
-        raise SizeLimitError(f"chromatic_number limited to {exact_limit} vertices, got {g.n}")
+    if g.n > CHROMATIC_LIMIT:
+        raise SizeLimitError(f"chromatic_number limited to {CHROMATIC_LIMIT} vertices, got {g.n}")
     if g.n == 0:
         return 0
     if g.m == 0:

@@ -6,16 +6,17 @@ connected vertex subsets encoded as bitmasks, splitting into components
 first. A separate bounded-depth decision procedure (`treedepth_at_most`)
 handles larger graphs when only td <= k for small k is in question, which
 is what the decomposition verifier needs. It decides an induced subgraph
-G[S] on g's own ids from the vertex set S, without copying it.
+G[S] on g's own ids from the vertex set S as a bitmask, without copying
+it, and runs as a loop over an explicit stack, so it works at any budget.
 """
 
 from .errors import SizeLimitError, ValidationError
 from .graphs import (
     component_masks,
     is_connected_mask,
+    mask_of,
     mask_vertices,
     smallest_last_order,
-    subset_components,
 )
 
 NO_PARENT = -1
@@ -201,101 +202,107 @@ def treedepth_at_most(g, k, vertices=None):
 
     Used by the decomposition verifier, cluster covers and counting, where k
     is small (the number of color classes) but the vertex set may be large.
-    The search runs on g's own ids, so the induced subgraph is never copied.
-    Returns a witness forest as a parent list over g's ids, NO_PARENT for
-    roots and for vertices outside the set, or None.
+    The search runs on g's own ids with vertex sets as bitmasks, so the
+    induced subgraph is never copied, and it is a loop over an explicit
+    stack, so it works at any budget. Returns a witness forest as a parent
+    list over g's ids, NO_PARENT for roots and for vertices outside the
+    set, or None.
     """
     if vertices is None:
-        vertices = range(g.n)
+        mask = (1 << g.n) - 1
     else:
-        vertices = sorted(set(vertices))
-        for v in vertices:
-            if not (0 <= v < g.n):
-                raise ValidationError(f"vertex {v} out of range")
+        vertices = set(vertices)  # read once: it may be an iterator
+        outside = [v for v in vertices if not (0 <= v < g.n)]
+        if outside:
+            raise ValidationError(f"vertex {min(outside)} out of range")
+        mask = mask_of(vertices)
     if k < 0:
         return None
+    adj = g.adj_mask
     parent = [NO_PARENT] * g.n
-    memo = {}
+    memo = {}  # (mask, budget) -> False, or the root that worked
 
-    def solve(vertices, budget, par):
-        # vertices: sorted tuple forming a connected induced subgraph
-        if not vertices:
-            return True
+    # Each search step is a generator: it yields a (component, budget,
+    # parent) subproblem and is sent back whether it was solved.
+    def solve_all(comps, budget, par):
+        for comp in comps:
+            if not (yield comp, budget, par):
+                return False
+        return True
+
+    def solve(mask, budget, par):
+        # mask: a nonempty connected vertex set
         if budget <= 0:
             return False
-        if len(vertices) == 1:
-            parent[vertices[0]] = par
+        if not mask & (mask - 1):
+            parent[mask.bit_length() - 1] = par
             return True
         if budget == 1:
             return False  # connected with >= 2 vertices has an edge
-        key = (vertices, budget)
+        key = (mask, budget)
         known = memo.get(key)
         if known is False:
             return False
-        if known is not None and known is not True:
-            root = known
-            parent[root] = par
-            rest = [v for v in vertices if v != root]
-            return all(
-                solve(comp, budget - 1, root)
-                for comp in subset_components(g, rest)
-            )
-        vset = set(vertices)
-        dfs_parent, depth = _dfs_tree(g, vertices, vset)
+        if known is not None:
+            parent[known] = par
+            return (yield from solve_all(
+                component_masks(adj, mask ^ (1 << known)), budget - 1, known))
+        # a DFS tree is a valid elimination forest (only back edges)
+        depth = _dfs_tree(adj, mask, parent, par)
         if depth <= budget:
-            # a DFS tree is a valid elimination forest (only back edges)
-            root_v = vertices[0]
-            parent[root_v] = par
-            for v in vertices:
-                if v != root_v:
-                    parent[v] = dfs_parent[v]
-            memo[key] = True
             return True
         if depth >= (1 << budget):
             return False  # the DFS root path alone forces td > budget
         # try high-degree-inside vertices first; hubs usually split best
-        inside_deg = {v: sum(1 for w in g.adj[v] if w in vset) for v in vertices}
-        for root in sorted(vertices, key=lambda v: (-inside_deg[v], v)):
-            rest = [v for v in vertices if v != root]
+        for root in sorted(mask_vertices(mask),
+                           key=lambda v: (-(adj[v] & mask).bit_count(), v)):
             # largest first: it is the likeliest to fail, which ends the try
-            comps = sorted(subset_components(g, rest), key=len, reverse=True)
-            if all(solve(comp, budget - 1, root) for comp in comps):
+            comps = sorted(component_masks(adj, mask ^ (1 << root)),
+                           key=int.bit_count, reverse=True)
+            if (yield from solve_all(comps, budget - 1, root)):
                 parent[root] = par
                 memo[key] = root
                 return True
         memo[key] = False
         return False
 
-    ok = all(
-        solve(comp, k, NO_PARENT)
-        for comp in subset_components(g, vertices)
-    )
-    return parent if ok else None
-
-
-def _dfs_tree(g, vertices, vset):
-    """DFS tree of a connected vertex subset from its smallest member:
-    (parent map, height counted in vertices)."""
-    root = vertices[0]
-    par = {root: NO_PARENT}
-    depth = {root: 1}
-    height = 1
-    stack = [(root, iter(g.adj[root]))]
+    stack = [solve_all(component_masks(adj, mask), k, NO_PARENT)]
+    solved = None
     while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w in vset and w not in par:
-                par[w] = u
-                depth[w] = depth[u] + 1
-                if depth[w] > height:
-                    height = depth[w]
-                stack.append((w, iter(g.adj[w])))
-                advanced = True
-                break
-        if not advanced:
+        try:
+            task = stack[-1].send(solved)
+        except StopIteration as done:
             stack.pop()
-    return par, height
+            solved = done.value
+        else:
+            stack.append(solve(*task))
+            solved = None
+    return parent if solved else None
+
+
+def _dfs_tree(adj_mask, mask, parent, par):
+    """Write a DFS tree of a connected vertex bitmask into parent, rooted at
+    its smallest member under par, neighbours taken by ascending id; return
+    its height counted in vertices."""
+    bit = mask & -mask
+    root = bit.bit_length() - 1
+    parent[root] = par
+    unseen = mask ^ bit
+    path = [root]
+    height = 1
+    while path:
+        nbrs = adj_mask[path[-1]] & unseen
+        if nbrs:
+            bit = nbrs & -nbrs
+            unseen ^= bit
+            w = bit.bit_length() - 1
+            parent[w] = path[-1]
+            path.append(w)
+            if len(path) > height:
+                height = len(path)
+        else:
+            path.pop()
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +474,10 @@ def dfs_height_bounds(g):
     edges, so td <= upper. Its deepest root-to-leaf chain is a path on h
     vertices in the graph, and td(P_h) = ceil(log2(h+1)), so lower <= td.
     """
+    adj = g.adj_mask
     parent = [NO_PARENT] * g.n
-    for comp in subset_components(g, range(g.n)):
-        dfs_parent, _ = _dfs_tree(g, comp, set(comp))
-        for v, p in dfs_parent.items():
-            parent[v] = p
+    for comp in component_masks(adj, (1 << g.n) - 1):
+        _dfs_tree(adj, comp, parent, NO_PARENT)
     forest = EliminationForest(parent)
     h = forest.height
     return h.bit_length(), h, forest  # bit_length(h) == ceil(log2(h+1))

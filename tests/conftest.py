@@ -22,7 +22,6 @@ from sparsekit.graphs import (
     anchored_order,
     colorset_components,
     connected_subsets,
-    subset_components,
 )
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import NO_PARENT, treedepth_at_most
@@ -441,6 +440,27 @@ def count_exact_colorset_oracle(g, h, vertices, subset, colors, induced):
     return acc.get(full_state, 0)
 
 
+def components_oracle(g, vertices):
+    """Components of G[vertices] as sorted tuples, by smallest member: one
+    breadth-first search from each vertex not yet reached, in ascending
+    order."""
+    keep = set(vertices)
+    seen = set()
+    comps = []
+    for s in sorted(keep):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for u in comp:
+            for w in g.adj[u]:
+                if w in keep and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # LTD verification oracle: the full lexicographic scan over every color set of
 # size <= p, splitting each into components and testing every component
@@ -479,7 +499,7 @@ def verify_ltd_oracle(g, p, coloring):
             vertices.extend(classes[c])
         vertices.sort()
         budget = len(subset)
-        for comp in subset_components(g, vertices):
+        for comp in components_oracle(g, vertices):
             if len(comp) <= budget:
                 continue
             key = (comp, budget)

@@ -362,6 +362,20 @@ def test_td_exact_witness_on_a_deep_clique(capsys):
     assert json.loads(out.out)["treedepth"] == 1200 and out.err == ""
 
 
+def test_verify_ltd_at_a_large_p(tmp_path, capsys):
+    # p = 350 on P_700 coloured i mod 350: the whole path is one colour set,
+    # decided by a search 350 budget levels deep
+    from sparsekit import cli
+
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"colors": [i % 350 for i in range(700)], "palette": 350}))
+    assert cli.main(["verify-ltd", "-p", "350", "--coloring", str(ring), "named:P_700"]) == 0
+    out = capsys.readouterr()
+    payload = json.loads(out.out)
+    check("verify-ltd", payload)
+    assert payload["ok"] is True and out.err == ""
+
+
 def test_bench_tracer_names_resolve():
     # bench/tracer.py rebinds these by name; a renamed one breaks --trace runs
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"

@@ -347,10 +347,11 @@ def test_sunflower_cross_part_edges_rejected():
     assert not ok and "petal parts" in reason
 
 
-def test_sunflower_budget():
+def test_sunflower_budget(monkeypatch):
+    monkeypatch.setattr(counting, "SUNFLOWER_PRODUCT_BUDGET", 2)
     g = named("K_1,3")
     f = named("K_2")
     s = Sunflower(core=[0], families=[[[1], [2], [3]]],
                   core_part=[0], petal_parts=[[1]])
     with pytest.raises(BudgetExceededError):
-        verify_sunflower(g, f, 1, s, product_budget=2)
+        verify_sunflower(g, f, 1, s)

@@ -442,7 +442,7 @@ def test_chi_1_is_chromatic_number(small_graph_sample):
     for g in small_graph_sample[:20]:
         if g.n > 8 or g.n == 0:
             continue
-        assert chi_p_bruteforce(g, 1) == chromatic_number(g, exact_limit=8)
+        assert chi_p_bruteforce(g, 1) == chromatic_number(g)
 
 
 def test_chi_p_values():
@@ -537,6 +537,15 @@ def test_verify_cluster_cover_missing_cluster():
                           membership_bound=cov.membership_bound)
     ok, witness = verify_cluster_cover(g, broken)
     assert not ok and witness[0] == "uncovered"
+
+
+def test_verify_cluster_cover_bad_clusters():
+    g = named("P_3")
+    with pytest.raises(ValidationError):
+        verify_cluster_cover(g, ClusterCover([[5]], 1))
+    for cluster in ([], [0, 2]):  # empty, disconnected
+        ok, witness = verify_cluster_cover(g, ClusterCover([cluster], 2))
+        assert not ok and witness == ("cluster-td", cluster)
 
 
 def test_verify_cluster_cover_deep_cluster():

@@ -5,7 +5,6 @@ import pytest
 from sparsekit import (
     Graph,
     ParseError,
-    SizeLimitError,
     ValidationError,
     bfs_distances,
     bounded_degree_graph,
@@ -33,7 +32,6 @@ from sparsekit.graphs import (
     is_connected_mask,
     mask_of,
     smallest_last_order,
-    subset_components,
 )
 
 from sparsekit.rng import Xoshiro256
@@ -41,6 +39,7 @@ from sparsekit.rng import Xoshiro256
 from conftest import (
     clique_number_oracle,
     colorset_components_oracle,
+    components_oracle,
     degeneracy_oracle,
     degeneracy_peel_oracle,
     orient_smallest_last_oracle,
@@ -199,18 +198,6 @@ def test_components():
     assert len(connected_components(named("C_6"))) == 1
 
 
-def test_subset_components_match_induced_subgraph(small_graph_sample):
-    for g in small_graph_sample:
-        for keep in (range(g.n), range(0, g.n, 2), range(1, g.n, 3)):
-            vertices = list(keep)
-            sub, back = induced_subgraph(g, vertices)
-            want = [tuple(back[v] for v in comp) for comp in connected_components(sub)]
-            assert subset_components(g, vertices) == want
-    # components come in the order of their first member in the input
-    g = Graph(5, [(0, 4), (1, 2)])
-    assert subset_components(g, [2, 4, 1, 0]) == [(1, 2), (0, 4)]
-
-
 def test_connected_subsets_yield_each_connected_set_once(small_graph_sample):
     for g in small_graph_sample:
         for size in (1, 2, 4):
@@ -250,7 +237,7 @@ def test_colorset_components_match_oracle(peel_sample):
                         for s, comps in colorset_components_oracle(g, colors, p)
                         for comp in comps]
                 want += [((c,), comp) for c in set(colors) for comp in
-                         subset_components(g, [v for v in range(g.n) if colors[v] == c])]
+                         components_oracle(g, [v for v in range(g.n) if colors[v] == c])]
                 assert len(got) == len(set(got))
                 assert sorted(got) == sorted(want)
                 cases += 1
@@ -371,8 +358,3 @@ def test_clique_number_matches_exhaustive_oracle(small_graph_sample):
         assert clique_number(g) == clique_number_oracle(g), g.edges
 
 
-def test_exact_limits_refuse():
-    with pytest.raises(SizeLimitError):
-        clique_number(named("Clebsch"), exact_limit=10)
-    with pytest.raises(SizeLimitError):
-        chromatic_number(named("Clebsch"))

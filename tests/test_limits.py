@@ -18,6 +18,7 @@ from sparsekit import (
     counting,
     decomposition,
     density,
+    graphs,
     homomorphism,
     named,
     treedepth,
@@ -67,6 +68,8 @@ REFUSALS = {
     "hom-target": lambda: homomorphism.hom_exists(
         sized(1), sized(homomorphism.HOM_TARGET_LIMIT + 1)),
     "core": lambda: homomorphism.core(sized(default(homomorphism.core, "exact_limit") + 1)),
+    "clique-number": lambda: graphs.clique_number(sized(graphs.CLIQUE_LIMIT + 1)),
+    "chromatic-number": lambda: graphs.chromatic_number(sized(graphs.CHROMATIC_LIMIT + 1)),
     "verify-centered-coloring": lambda: treedepth.verify_centered_coloring(
         sized(treedepth.CENTERED_CHECK_LIMIT + 1), None),
     "verify-vertex-ranking": lambda: treedepth.verify_vertex_ranking(
@@ -114,9 +117,6 @@ SETTABLE = {
     "counting.count_bruteforce.host_limit",
     # set only by the failure-path tests
     "decomposition.ltd_coloring.max_rounds",
-    "counting.verify_sunflower.product_budget",
-    "graphs.clique_number.exact_limit",
-    "graphs.chromatic_number.exact_limit",
     # optional inputs, not limits
     "cli.main.argv",
     "counting.CountQuery.mode",

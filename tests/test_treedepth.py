@@ -22,11 +22,11 @@ from sparsekit import (
     verify_elimination_forest,
     verify_vertex_ranking,
 )
-from sparsekit.graphs import colorset_components, induced_subgraph, subset_components
+from sparsekit.graphs import colorset_components, induced_subgraph
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import NO_PARENT, ranking_from_forest
 
-from conftest import random_graph, treedepth_oracle
+from conftest import components_oracle, random_graph, treedepth_oracle
 
 
 def test_k1():
@@ -250,6 +250,16 @@ def test_treedepth_at_most_agrees_with_exact(small_graph_sample):
                 assert parent is None
 
 
+def test_treedepth_at_most_deep_searches():
+    # the paths' searches descend hundreds of budget levels; grid_4x8's
+    # replays memoised roots, whose components get one level less
+    for name, k in (("P_1000", 400), ("P_2000", 1000), ("grid_4x8", 10)):
+        g = named(name)
+        forest = EliminationForest(treedepth_at_most(g, k))
+        assert forest.height <= k
+        assert verify_elimination_forest(g, forest)
+
+
 def test_treedepth_at_most_huge_star():
     assert treedepth_at_most(named("star_80"), 2) is not None
     assert treedepth_at_most(named("star_80"), 1) is None
@@ -286,10 +296,23 @@ def test_treedepth_at_most_on_vertex_sets(peel_sample):
                 for k in (len(subset) - 1, len(subset)):
                     verdicts[_check_on_vertex_set(g, comp, k)] += 1
             union = [v for v in range(g.n) if colors[v] < p]
-            disconnected += len(subset_components(g, union)) > 1
+            disconnected += len(components_oracle(g, union)) > 1
             assert _check_on_vertex_set(g, union, p)
     assert verdicts[True] >= 20000 and verdicts[False] >= 10000, verdicts
     assert disconnected >= 100, disconnected
+
+
+def test_treedepth_at_most_on_random_subsets_matches_exact():
+    # vertex subsets of seeded random graphs, against treedepth_exact on the
+    # induced copy, at budgets td - 1, td and td + 1
+    rng = Xoshiro256(22)
+    for seed in range(400):
+        n = 2 + rng.randrange(13)
+        g = random_graph(n, 15 + rng.randrange(50), seed=seed + 2200)
+        vertices = [v for v in range(n) if rng.randrange(3)]
+        td, _ = treedepth_exact(induced_subgraph(g, vertices)[0])
+        for k in (td - 1, td, td + 1):
+            assert _check_on_vertex_set(g, vertices, k) == (k >= td), (g.edges, vertices, k)
 
 
 def test_treedepth_at_most_witnesses_pinned():
