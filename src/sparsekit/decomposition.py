@@ -56,7 +56,7 @@ from .graphs import (
     peel_smallest_last,
     smallest_last_order,
 )
-from .treedepth import Coloring, _greedy_coloring, bitmask_td_solver, treedepth_at_most
+from .treedepth import Coloring, _greedy_coloring, treedepth_at_most
 
 
 class LtdVerificationError(SparsekitError):
@@ -383,7 +383,10 @@ def ltd_coloring(g, p, max_rounds=None):
 
 
 def chi_p_bruteforce(g, p):
-    """Exact chi_p by enumerating colorings up to color renaming."""
+    """Exact chi_p: the fewest colors of a proper coloring, enumerated up to
+    color renaming, that verify_ltd's test accepts for p."""
+    if p < 1:
+        raise ValidationError("p must be >= 1")
     if g.n > CHI_P_LIMIT:
         raise SizeLimitError(f"chi_p_bruteforce limited to {CHI_P_LIMIT} vertices, got {g.n}")
     if g.n == 0:
@@ -393,31 +396,17 @@ def chi_p_bruteforce(g, p):
 
 
 def _chi_p_search(g, p):
-    td_of = bitmask_td_solver(g)
     class_masks = [0] * g.n
     colors = [0] * g.n
 
-    def valid(k):
-        for size in range(2, min(p, k) + 1):
-            for subset in combinations(range(k), size):
-                mask = 0
-                for c in subset:
-                    mask |= class_masks[c]
-                if td_of(mask) > size:
-                    return False
-        return True
-
-    def proper_ok(v, c):
-        return not (class_masks[c] & g.adj_mask[v])
-
     def rec(i, used, k):
         if i == g.n:
-            return used == k and valid(k)
+            return used == k and _ltd_holds(g, p, colors)
         if used + (g.n - i) < k:
             return False
         for c in range(min(used + 1, k)):
-            if not proper_ok(i, c):
-                continue
+            if class_masks[c] & g.adj_mask[i]:
+                continue  # keep the coloring proper
             colors[i] = c
             class_masks[c] |= 1 << i
             if rec(i + 1, max(used, c + 1), k):

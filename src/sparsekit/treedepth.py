@@ -1,13 +1,15 @@
 """Exact tree-depth with elimination-forest witnesses, plus the coloring
 characterizations (centered colorings, vertex rankings) and DFS bounds.
 
-The exact solver runs the delete-a-vertex recursion with memoization over
-connected vertex subsets encoded as bitmasks, splitting into components
-first. A separate bounded-depth decision procedure (`treedepth_at_most`)
-handles larger graphs when only td <= k for small k is in question, which
-is what the decomposition verifier needs. It decides an induced subgraph
-G[S] on g's own ids from the vertex set S as a bitmask, without copying
-it, and runs as a loop over an explicit stack, so it works at any budget.
+Two searches decide tree-depth on vertex bitmasks, both run by one loop
+over an explicit stack of generator steps (_run), so they work at any
+depth. The exact solver (`treedepth_exact`) runs the delete-a-vertex
+search, memoized over connected vertex subsets and splitting into
+components first; an edge-count lower bound ends its scan over roots. The
+bounded-depth decision (`treedepth_at_most`) handles larger graphs when
+only td <= k for small k is in question, which is what the decomposition
+verifier needs. It decides an induced subgraph G[S] on g's own ids from
+the vertex set S as a bitmask, without copying it.
 """
 
 from .errors import SizeLimitError, ValidationError
@@ -124,76 +126,86 @@ def verify_elimination_forest(g, forest):
 # ---------------------------------------------------------------------------
 # exact tree-depth
 
-def bitmask_td_solver(g):
-    """Memoized td-of-vertex-bitmask evaluator for one graph (n <= ~18).
-
-    Returns a function mask -> tree-depth of the induced subgraph. The memo
-    is shared across calls, which makes it cheap to evaluate many subsets of
-    the same graph (the chi_p brute force leans on this).
-    """
-    adj = g.adj_mask
-    memo = {}
-
-    def td_conn(mask):
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit[0]
-        pc = bin(mask).count("1")
-        if pc == 1:
-            memo[mask] = (1, mask.bit_length() - 1)
-            return 1
-        verts = mask_vertices(mask)
-        if all(adj[v] & mask == mask ^ (1 << v) for v in verts):
-            memo[mask] = (pc, verts[0])
-            return pc
-        best, root = pc, verts[0]
-        for v in verts:
-            sub = mask ^ (1 << v)
-            val = 1 + max(td_conn(c) for c in component_masks(adj, sub))
-            if val < best:
-                best, root = val, v
-                if best == 2:
-                    break
-        memo[mask] = (best, root)
-        return best
-
-    def td_of(mask):
-        if mask == 0:
-            return 0
-        return max(td_conn(c) for c in component_masks(adj, mask))
-
-    td_of.memo = memo
-    td_of.td_conn = td_conn
-    return td_of
-
-
 def treedepth_exact(g, exact_limit=18):
     """Exact tree-depth with a witness forest of matching height.
 
-    Delete-a-vertex recursion over connected bitmask subsets, components
-    split first, memoized; the witness is read off the memo in a loop.
-    Among minimizing deletion vertices the smallest id wins, so the witness
-    is deterministic.
+    Delete-a-vertex search over connected bitmask subsets, components split
+    first, memoized, and run by _run's loop, so it works at any depth. The
+    scan over roots stops once it reaches the edge-count bound of
+    _edge_bound. Among minimizing deletion vertices the smallest id wins,
+    so the witness, read off the memo in a loop, is deterministic.
     """
     if g.n > exact_limit:
         raise SizeLimitError(f"treedepth_exact limited to {exact_limit} vertices, got {g.n}")
     if g.n == 0:
         return 0, EliminationForest([])
     adj = g.adj_mask
-    td_of = bitmask_td_solver(g)
-    full = (1 << g.n) - 1
-    value = td_of(full)
+    memo = {}  # connected mask -> (td, smallest-id minimizing root)
+
+    def td_conn(mask):
+        # a search step for _run: td of a connected vertex set not in memo
+        verts = mask_vertices(mask)
+        best, root = len(verts), verts[0]
+        floor = _edge_bound(best, sum((adj[v] & mask).bit_count() for v in verts) // 2)
+        for v in verts:
+            if best <= floor:
+                break  # no root does better than the bound
+            val = 1
+            for comp in component_masks(adj, mask ^ (1 << v)):
+                hit = memo.get(comp)
+                sub = hit[0] if hit else (yield td_conn(comp))
+                if sub >= val:
+                    val = sub + 1
+                    if val >= best:
+                        break  # v is no better than root
+            if val < best:
+                best, root = val, v
+        memo[mask] = (best, root)
+        return best
+
     parent = [NO_PARENT] * g.n
-    stack = [(full, NO_PARENT)]  # a vertex set left to root, under its parent
+    stack = [((1 << g.n) - 1, NO_PARENT)]  # a vertex set left to root, under its parent
     while stack:
         mask, above = stack.pop()
         for comp in component_masks(adj, mask):
-            td_of.td_conn(comp)
-            root = td_of.memo[comp][1]
+            if comp not in memo:
+                _run(td_conn(comp))
+            root = memo[comp][1]
             parent[root] = above
             if comp != 1 << root:
                 stack.append((comp ^ (1 << root), root))
-    return value, EliminationForest(parent)
+    forest = EliminationForest(parent)
+    return forest.height, forest
+
+
+def _edge_bound(s, m):
+    """The smallest k at which a graph on s vertices with td <= k can have m
+    edges: a lower bound on its td. Each vertex at depth d in an elimination forest has
+    d - 1 ancestors, so height k <= s allows at most (k - 1)s - k(k - 1)/2
+    edges, and that count grows with k."""
+    k = 1
+    while (k - 1) * s - k * (k - 1) // 2 < m:
+        k += 1
+    return k
+
+
+def _run(step):
+    """Drive a search step to its result. A step is a generator: it yields
+    the sub-steps it needs and is sent back each one's result. The steps
+    wait on an explicit stack, so the search depth is not bounded by
+    Python's recursion limit."""
+    stack = [step]
+    result = None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(sub)
+            result = None
+    return result
 
 
 def treedepth_at_most(g, k, vertices=None):
@@ -222,11 +234,10 @@ def treedepth_at_most(g, k, vertices=None):
     parent = [NO_PARENT] * g.n
     memo = {}  # (mask, budget) -> False, or the root that worked
 
-    # Each search step is a generator: it yields a (component, budget,
-    # parent) subproblem and is sent back whether it was solved.
+    # search steps for _run, sent back whether their sets were solved
     def solve_all(comps, budget, par):
         for comp in comps:
-            if not (yield comp, budget, par):
+            if not (yield solve(comp, budget, par)):
                 return False
         return True
 
@@ -266,18 +277,7 @@ def treedepth_at_most(g, k, vertices=None):
         memo[key] = False
         return False
 
-    stack = [solve_all(component_masks(adj, mask), k, NO_PARENT)]
-    solved = None
-    while stack:
-        try:
-            task = stack[-1].send(solved)
-        except StopIteration as done:
-            stack.pop()
-            solved = done.value
-        else:
-            stack.append(solve(*task))
-            solved = None
-    return parent if solved else None
+    return parent if _run(solve_all(component_masks(adj, mask), k, NO_PARENT)) else None
 
 
 def _dfs_tree(adj_mask, mask, parent, par):

@@ -608,20 +608,26 @@ def clique_number_oracle(g):
 # isomorphism-class enumeration for the exhaustive small-graph catalog
 
 def all_graphs_up_to_iso(n):
-    """One representative per isomorphism class of graphs on n vertices."""
-    pairs = list(combinations(range(n), 2))
-    seen = set()
-    out = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        canon = min(
-            tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
-            for perm in permutations(range(n))
-        )
-        if canon not in seen:
-            seen.add(canon)
-            out.append(Graph(n, edges))
-    return out
+    """One representative per isomorphism class of graphs on n vertices.
+
+    Deleting vertex n - 1 leaves a graph on n - 1 vertices, so each class
+    is found by joining a new vertex to every subset of a smaller class's
+    representative; a class is keyed by its smallest relabelled edge list.
+    """
+    if n <= 1:
+        return [Graph(n, [])]
+    perms = list(permutations(range(n)))
+    found = {}
+    for smaller in all_graphs_up_to_iso(n - 1):
+        for nbrs in range(1 << (n - 1)):
+            edges = [*smaller.edges, *((v, n - 1) for v in range(n - 1) if nbrs >> v & 1)]
+            canon = min(
+                tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+                for perm in perms
+            )
+            if canon not in found:
+                found[canon] = Graph(n, canon)
+    return list(found.values())
 
 
 @pytest.fixture(scope="session")

@@ -362,6 +362,20 @@ def test_td_exact_witness_on_a_deep_clique(capsys):
     assert json.loads(out.out)["treedepth"] == 1200 and out.err == ""
 
 
+def test_td_exact_on_a_near_clique(tmp_path, capsys):
+    # K_400 minus the edge between its two largest ids, read from a file:
+    # the exact search deletes 399 vertices deep
+    from sparsekit import Graph, cli
+
+    n = 400
+    path = tmp_path / "near_clique.el"
+    path.write_text(serialize_edge_list(Graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (n - 2, n - 1)])))
+    assert cli.main(["td", "--exact-limit", "500", str(path)]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["treedepth"] == n - 1 and out.err == ""
+
+
 def test_verify_ltd_at_a_large_p(tmp_path, capsys):
     # p = 350 on P_700 coloured i mod 350: the whole path is one colour set,
     # decided by a search 350 budget levels deep

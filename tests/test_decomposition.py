@@ -27,7 +27,7 @@ from sparsekit.decomposition import (
     _orient_smallest_last,
 )
 from sparsekit.errors import SizeLimitError, ValidationError
-from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation
+from sparsekit.graphs import ARC_FRATERNAL, ARC_TRANSITIVE, Orientation, catalog_names
 from sparsekit.rng import Xoshiro256
 from sparsekit.treedepth import greedy_smallest_last_coloring
 
@@ -35,6 +35,7 @@ from conftest import (
     orient_smallest_last_oracle,
     random_graph,
     tf_augment_oracle,
+    treedepth_oracle,
     verify_ltd_oracle,
 )
 
@@ -411,11 +412,10 @@ def test_ltd_failure_counterexample_is_lexicographically_smallest(small_graph_sa
 
 
 def test_ltd_soundness_reverified_exactly(small_graph_sample):
-    # every verified decomposition really satisfies the subset contract,
-    # re-checked through the exact bitmask solver
+    # every verified decomposition, the exact fallback's included, really
+    # satisfies the subset contract, re-checked by the bare td oracle on
+    # each color set's induced subgraph
     from itertools import combinations
-
-    from sparsekit.treedepth import bitmask_td_solver
 
     for g in small_graph_sample[:30]:
         if g.n > 8:
@@ -423,17 +423,14 @@ def test_ltd_soundness_reverified_exactly(small_graph_sample):
         for p in (1, 2, 3):
             d = ltd_coloring(g, p)
             assert d.verified
-            td_of = bitmask_td_solver(g)
-            classes = {}
-            for v, c in enumerate(d.coloring.assignment):
-                classes.setdefault(c, 0)
-                classes[c] |= 1 << v
+            colors = d.coloring.assignment
             for size in range(1, p + 1):
-                for subset in combinations(sorted(classes), size):
-                    mask = 0
-                    for c in subset:
-                        mask |= classes[c]
-                    assert td_of(mask) <= size
+                for subset in combinations(sorted(set(colors)), size):
+                    keep = [v for v in range(g.n) if colors[v] in subset]
+                    pos = {v: i for i, v in enumerate(keep)}
+                    sub = Graph(len(keep), [(pos[u], pos[v]) for u, v in g.edges
+                                            if u in pos and v in pos])
+                    assert treedepth_oracle(sub) <= size
 
 
 def test_chi_1_is_chromatic_number(small_graph_sample):
@@ -451,6 +448,26 @@ def test_chi_p_values():
     c4 = named("C_4")
     td, _ = treedepth_exact(c4)
     assert max(chi_p_bruteforce(c4, p) for p in range(1, 5)) == 3 == td
+
+
+def test_chi_p_search_output_pinned():
+    # the fewest colors and the first such coloring up to renaming, which
+    # ltd_coloring falls back to on small graphs, pinned by digest
+    rows = []
+    for name in catalog_names(max_n=8):
+        for p in range(1, 5):
+            k, coloring = decomposition._chi_p_search(named(name), p)
+            rows.append([name, p, k, coloring.assignment])
+    assert sum(row[2] for row in rows) == 481
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "2d94ccdc793f8c15193c7a8828029971ca8c905a1e32ead5cb61966b4dc4ed7b"
+
+
+def test_chi_p_bruteforce_rejects_p_below_one():
+    # p = 0 and p = -1 used to return the chromatic number (3 on C_5)
+    for p in (0, -1):
+        with pytest.raises(ValidationError, match="p must be >= 1"):
+            chi_p_bruteforce(named("C_5"), p)
 
 
 def test_chi_p_chain_and_td(small_graph_sample):

@@ -22,11 +22,11 @@ from sparsekit import (
     verify_elimination_forest,
     verify_vertex_ranking,
 )
-from sparsekit.graphs import colorset_components, induced_subgraph
+from sparsekit.graphs import catalog_names, colorset_components, induced_subgraph
 from sparsekit.rng import Xoshiro256
-from sparsekit.treedepth import NO_PARENT, ranking_from_forest
+from sparsekit.treedepth import NO_PARENT, _edge_bound, ranking_from_forest
 
-from conftest import components_oracle, random_graph, treedepth_oracle
+from conftest import all_graphs_up_to_iso, components_oracle, random_graph, treedepth_oracle
 
 
 def test_k1():
@@ -330,6 +330,49 @@ def test_treedepth_at_most_witnesses_pinned():
     assert sum(parent is None for parent in rows) == 473
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "d1b046c3ad23119a76fbb28a35c0ee4200d2f01757931a37792ac33a6b6ca004"
+
+
+def test_treedepth_exact_witnesses_pinned():
+    # value and witness forest of seeded random graphs and of the catalog,
+    # pinned by digest: among minimizing roots the smallest id wins
+    rng = Xoshiro256(23)
+    rows = []
+    for seed in range(300):
+        n = 1 + rng.randrange(11)
+        g = random_graph(n, 10 + rng.randrange(70), seed=seed)
+        td, forest = treedepth_exact(g)
+        rows.append([td, forest.parent])
+    for name in catalog_names(max_n=16):
+        td, forest = treedepth_exact(named(name))
+        rows.append([name, td, forest.parent])
+    assert sum(row[0] for row in rows[:300]) == 1066
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "2a1c9cb257cd93add37690b2a8ba36785db4bc7d6ded988a28b367f8d19aac27"
+
+
+def test_treedepth_exact_near_clique():
+    # K_400 minus one edge: a search 399 deletions deep, which the edge-count
+    # bound settles at each level without scanning the other roots
+    n = 400
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) != (n - 2, n - 1)])
+    td, forest = treedepth_exact(g, exact_limit=500)
+    assert td == forest.height == n - 1
+    assert verify_elimination_forest(g, forest)
+
+
+def test_edge_bound_is_a_lower_bound():
+    # exhaustive over graphs up to isomorphism on at most 6 vertices, and
+    # tight on cliques and on cliques minus an edge
+    for n in range(1, 7):
+        for g in all_graphs_up_to_iso(n):
+            bound = _edge_bound(n, len(g.edges))
+            assert bound <= treedepth_oracle(g), g.edges
+            if len(g.edges) >= n * (n - 1) // 2 - 1:
+                assert bound == treedepth_oracle(g), g.edges
+    for n in range(2, 60):
+        assert _edge_bound(n, n * (n - 1) // 2) == n
+        assert _edge_bound(n, n * (n - 1) // 2 - 1) == n - 1
 
 
 def test_treedepth_at_most_rejects_out_of_range_vertices():
