@@ -56,7 +56,7 @@ from .graphs import (
     peel_smallest_last,
     smallest_last_order,
 )
-from .treedepth import Coloring, _greedy_coloring, treedepth_at_most
+from .treedepth import _greedy_coloring, _rgs_coloring, treedepth_at_most
 
 
 class LtdVerificationError(SparsekitError):
@@ -92,23 +92,15 @@ class LtdDecomposition:
 class LtdVerification:
     """Verifier outcome: truthy iff every color subset passed.
 
-    counterexample is the lexicographically smallest violating color set, or
-    None; a failing outcome keeps only (g, p, coloring) and derives it on
-    first read, by the superset rule.
+    counterexample is the lexicographically smallest violating color set,
+    or None.
     """
 
-    __slots__ = ("ok", "_failed", "_counterexample")
+    __slots__ = ("ok", "counterexample")
 
-    def __init__(self, ok, failed=None):
+    def __init__(self, ok, counterexample):
         self.ok = ok
-        self._failed = failed  # (g, p, coloring) of a failing one
-        self._counterexample = None
-
-    @property
-    def counterexample(self):
-        if self._counterexample is None and self._failed:
-            self._counterexample = _smallest_violation(*self._failed)
-        return self._counterexample
+        self.counterexample = counterexample
 
     def __bool__(self):
         return self.ok
@@ -260,16 +252,15 @@ def verify_ltd(g, p, coloring):
     uses every color of I, has more than |I| vertices and no color
     occurring once in it; treedepth_at_most decides it on g's own ids. The
     counterexample of a failing coloring, the lexicographically smallest
-    violating color set, comes from the same sets by the superset rule, on
-    first read.
+    violating color set, comes from the same sets by the superset rule.
     """
     if coloring.n != g.n:
         raise ValidationError("coloring does not cover the graph")
     if p < 1:
         raise ValidationError("p must be >= 1")
     if _ltd_holds(g, p, coloring.assignment):
-        return LtdVerification(True)
-    return LtdVerification(False, failed=(g, p, coloring))
+        return LtdVerification(True, None)
+    return LtdVerification(False, _smallest_violation(g, p, coloring))
 
 
 def _ltd_holds(g, p, colors):
@@ -369,8 +360,7 @@ def ltd_coloring(g, p, max_rounds=None):
             adj = [[*heads, *tails] for heads, tails in zip(out, inn)]
             order = [v for v, _ in peel_smallest_last(adj)][::-1]
         coloring = _greedy_coloring(adj, order)
-        outcome = verify_ltd(g, p, coloring)
-        if outcome:
+        if _ltd_holds(g, p, coloring.assignment):
             return LtdDecomposition(coloring, p, rounds_used=r, verified=True)
     if g.n <= CHI_P_LIMIT:
         _, coloring = _chi_p_search(g, p)
@@ -378,48 +368,28 @@ def ltd_coloring(g, p, max_rounds=None):
                                 verified=True)
     raise LtdVerificationError(
         f"no verified decomposition for p={p} within {max_rounds} rounds",
-        counterexample=outcome.counterexample,
+        counterexample=_smallest_violation(g, p, coloring),
     )
 
 
 def chi_p_bruteforce(g, p):
-    """Exact chi_p: the fewest colors of a proper coloring, enumerated up to
+    """Exact chi_p: the fewest colors of a proper coloring, walked up to
     color renaming, that verify_ltd's test accepts for p."""
     if p < 1:
         raise ValidationError("p must be >= 1")
     if g.n > CHI_P_LIMIT:
         raise SizeLimitError(f"chi_p_bruteforce limited to {CHI_P_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
     k, _ = _chi_p_search(g, p)
     return k
 
 
 def _chi_p_search(g, p):
-    class_masks = [0] * g.n
-    colors = [0] * g.n
-
-    def rec(i, used, k):
-        if i == g.n:
-            return used == k and _ltd_holds(g, p, colors)
-        if used + (g.n - i) < k:
-            return False
-        for c in range(min(used + 1, k)):
-            if class_masks[c] & g.adj_mask[i]:
-                continue  # keep the coloring proper
-            colors[i] = c
-            class_masks[c] |= 1 << i
-            if rec(i + 1, max(used, c + 1), k):
-                return True
-            class_masks[c] &= ~(1 << i)
-        return False
-
-    for k in range(1, g.n + 1):
-        for c in range(g.n):
-            class_masks[c] = 0
-        if rec(0, 0, k):
-            return k, Coloring(list(colors), palette=k)
-    raise AssertionError("coloring with n colors always exists")
+    """(chi_p, the first coloring with that many colors that verify_ltd's
+    test accepts), from _rgs_coloring's walk."""
+    for k in range(g.n + 1):
+        coloring = _rgs_coloring(g, k, lambda c: _ltd_holds(g, p, c.assignment))
+        if coloring:
+            return k, coloring
 
 
 # ---------------------------------------------------------------------------

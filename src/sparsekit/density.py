@@ -36,9 +36,10 @@ class _Model:
 
 
 class MinorModel(_Model):
-    """Disjoint branch sets, each inducing a connected subgraph of radius
-    <= depth; every claimed minor edge joins two distinct branch sets, is
-    listed once, and is witnessed by a base-graph edge between them."""
+    """Disjoint sets of g's vertices, each inducing a connected subgraph of
+    radius <= depth; every claimed minor edge joins two distinct branch
+    sets, is listed once, and is witnessed by a base-graph edge between
+    them."""
 
     __slots__ = ("branch_sets", "depth", "minor_edges")
 
@@ -54,6 +55,8 @@ class MinorModel(_Model):
         return len(self.minor_edges)
 
     def validate(self, g):
+        if not all(0 <= v < g.n for b in self.branch_sets for v in b):
+            return False
         used = set()
         for b in self.branch_sets:
             if used & set(b):
@@ -103,12 +106,16 @@ class _PathModel(_Model):
         return len(self.paths)
 
     def _paths_valid(self, g):
-        """Each path is a simple path of g of length 1..2*depth+1 between two
-        principals, and no principal pair is linked twice."""
+        """The principals are distinct vertices of g, each path is a simple
+        path of g of length 1..2*depth+1 between two principals, and no
+        principal pair is linked twice."""
         pset = set(self.principals)
+        if len(pset) != len(self.principals) or not all(0 <= v < g.n for v in pset):
+            return False
         seen_pairs = set()
         for path in self.paths:
-            if len(path) < 2 or len(path) - 1 > 2 * self.depth + 1:
+            if (len(path) < 2 or len(path) - 1 > 2 * self.depth + 1
+                    or not all(0 <= v < g.n for v in path)):
                 return False
             if len(set(path)) != len(path):
                 return False
@@ -564,13 +571,23 @@ def _pack_paths(pairs, cap, n):
     return best
 
 
+def _degree_bound(g, principals):
+    """An upper bound on the density of a path model on these principals:
+    each path or edge ending at a principal u leaves u on an edge of its
+    own, and u is linked to at most k - 1 others, so u ends at most
+    min(deg u, k - 1) of them."""
+    k = len(principals)
+    return Fraction(sum(min(g.degree(u), k - 1) for u in principals) // 2, k)
+
+
 def top_grad(g, r, exact_limit=12):
     """Exact max density over depth-r shallow topological minors.
 
-    Enumerates principal-vertex sets (filtered by an achievability bound),
-    then packs internally vertex-disjoint paths of length <= 2r+1 between
-    non-adjacent principal pairs by exhaustive search (every edge of such a
-    path meets its interior, so interior load 1 keeps them edge-disjoint).
+    Enumerates principal-vertex sets (filtered by an achievability bound
+    and by _degree_bound), then packs internally vertex-disjoint paths of
+    length <= 2r+1 between non-adjacent principal pairs by exhaustive
+    search (every edge of such a path meets its interior, so interior load
+    1 keeps them edge-disjoint).
     """
     found = _unless_search(g, r, TopoModel, "top_grad", exact_limit)
     if found:
@@ -591,6 +608,8 @@ def top_grad(g, r, exact_limit=12):
         if ub <= best[0]:
             continue
         principals = mask_vertices(mask)
+        if _degree_bound(g, principals) <= best[0]:
+            continue
         pairs = [_paths_between(g, u, v, 2 * r + 1, mask, edge_bit)
                  for u, v in combinations(principals, 2) if not g.has_edge(u, v)]
         pairs = [cands for cands in pairs if cands]
@@ -607,7 +626,8 @@ def top_grad(g, r, exact_limit=12):
 
 def imm_grad(g, r, exact_limit=10):
     """Exact max density over depth-r shallow immersions: edge-disjoint
-    paths of length <= 2r+1 with per-vertex interior load <= r."""
+    paths of length <= 2r+1 with per-vertex interior load <= r, packed for
+    each principal set that passes an edge-count bound and _degree_bound."""
     found = _unless_search(g, r, ImmersionModel, "imm_grad", exact_limit)
     if found:
         return found
@@ -626,6 +646,8 @@ def imm_grad(g, r, exact_limit=10):
         if ub <= best[0]:
             continue
         principals = mask_vertices(mask)
+        if _degree_bound(g, principals) <= best[0]:
+            continue
         pairs = [_paths_between(g, u, v, 2 * r + 1, 0, edge_bit)
                  for u, v in combinations(principals, 2)]
         pairs = [cands for cands in pairs if cands]

@@ -10,7 +10,13 @@ bounded-depth decision (`treedepth_at_most`) handles larger graphs when
 only td <= k for small k is in question, which is what the decomposition
 verifier needs. It decides an induced subgraph G[S] on g's own ids from
 the vertex set S as a bitmask, without copying it.
+
+The brute-force palette oracles (the minimum centered and ranking palettes
+here, chi_p in decomposition) share one walk over the proper colorings
+with k colors up to renaming, _rgs_coloring; each passes it its own test.
 """
+
+from itertools import permutations
 
 from .errors import SizeLimitError, ValidationError
 from .graphs import (
@@ -402,65 +408,63 @@ RANKING_PALETTE_LIMIT = 6
 
 
 def minimum_centered_palette(g):
-    """Brute-force minimum number of colors in a centered coloring.
-
-    Enumerates colorings up to color renaming (restricted-growth strings).
-    """
+    """Brute-force minimum number of colors in a centered coloring. A
+    centered coloring is proper (an edge is a connected set of two) and
+    stays centered under renaming, so _rgs_coloring walks them all."""
     if g.n > CENTERED_PALETTE_LIMIT:
         raise SizeLimitError(
             f"minimum_centered_palette limited to {CENTERED_PALETTE_LIMIT} vertices")
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        if _exists_rgs_coloring(g, k, lambda c: verify_centered_coloring(g, c)):
-            return k
-    return g.n
+    return next(k for k in range(g.n + 1)
+                if _rgs_coloring(g, k, lambda c: verify_centered_coloring(g, c)))
 
 
 def minimum_ranking_palette(g):
-    """Brute-force minimum vertex-ranking palette (colors are ordered, so
-    all assignments are enumerated, not just up to renaming)."""
+    """Brute-force minimum vertex-ranking palette. A ranking is proper and
+    stays one when its colors are renamed in order, so each class
+    partition _rgs_coloring walks is tried under every order of its
+    classes."""
     if g.n > RANKING_PALETTE_LIMIT:
         raise SizeLimitError(
             f"minimum_ranking_palette limited to {RANKING_PALETTE_LIMIT} vertices")
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        if _exists_any_coloring(g, k, lambda c: verify_vertex_ranking(g, c)):
-            return k
-    return g.n
+
+    def ranks(coloring):
+        return any(verify_vertex_ranking(g, Coloring([rank[c] for c in coloring.assignment]))
+                   for rank in permutations(range(coloring.palette)))
+
+    return next(k for k in range(g.n + 1) if _rgs_coloring(g, k, ranks))
 
 
-def _exists_rgs_coloring(g, k, accept):
-    colors = [0] * g.n
+def _rgs_coloring(g, k, accept):
+    """The first proper coloring of g with exactly k colors, up to renaming,
+    that accept takes, as a Coloring with palette k; None if it takes none.
 
-    def rec(i, used):
-        if i == g.n:
-            return used == k and accept(Coloring(colors, palette=k))
-        if used + (g.n - i) < k:
-            return False
+    Vertices are colored by ascending id, each with the colors no earlier
+    neighbour carries, ascending, up to one above the highest used so far
+    (a restricted-growth string), and a branch ends once too few vertices
+    are left to use all k colors.
+    """
+    n, adj = g.n, g.adj_mask
+    colors = [0] * n
+    members = [0] * k  # the vertices of each color so far, as a bitmask
+
+    def walk(i, used):
+        if used + (n - i) < k:
+            return None
+        if i == n:  # used == k here
+            coloring = Coloring(colors, palette=k)
+            return coloring if accept(coloring) else None
         for c in range(min(used + 1, k)):
+            if members[c] & adj[i]:
+                continue  # keep the coloring proper
             colors[i] = c
-            if rec(i + 1, max(used, c + 1)):
-                return True
-        return False
+            members[c] |= 1 << i
+            found = walk(i + 1, max(used, c + 1))
+            members[c] ^= 1 << i
+            if found:
+                return found
+        return None
 
-    return rec(0, 0)
-
-
-def _exists_any_coloring(g, k, accept):
-    colors = [0] * g.n
-
-    def rec(i):
-        if i == g.n:
-            return accept(Coloring(colors, palette=k))
-        for c in range(k):
-            colors[i] = c
-            if rec(i + 1):
-                return True
-        return False
-
-    return rec(0)
+    return walk(0, 0)
 
 
 # ---------------------------------------------------------------------------

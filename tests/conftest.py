@@ -6,6 +6,7 @@ checked against something that cannot share their bugs.
 """
 
 import os
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -586,6 +587,48 @@ def pack_paths_oracle(pairs, cap, n):
         pack(idx + 1, used_edges)
 
     pack(0, 0)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# path-density oracle: the depth-r shallow topological-minor (topological)
+# or immersion density, the best over every principal set of the packing of
+# every simple path of length <= 2r + 1 between its pairs; topological
+# paths avoid the principals inside and adjacent principals count as edges
+
+def path_density_oracle(g, r, topological):
+    edge_bit = {}
+    for i, (u, v) in enumerate(g.edges):
+        edge_bit[u, v] = edge_bit[v, u] = 1 << i
+
+    def paths(u, v, blocked):
+        found = []
+
+        def walk(path, em):
+            x = path[-1]
+            for w in g.adj[x]:
+                if w == v:
+                    found.append((path + (v,), em | edge_bit[x, v], path[1:]))
+                elif w not in path and w not in blocked and len(path) <= 2 * r:
+                    walk(path + (w,), em | edge_bit[x, w])
+
+        walk((u,), 0)
+        return found
+
+    best = Fraction(0)
+    for k in range(1, g.n + 1):
+        for principals in combinations(range(g.n), k):
+            edges = 0
+            pairs = []
+            for u, v in combinations(principals, 2):
+                if not topological:
+                    pairs.append(paths(u, v, ()))
+                elif g.has_edge(u, v):
+                    edges += 1
+                else:
+                    pairs.append(paths(u, v, principals))
+            packed = pack_paths_oracle(pairs, 1 if topological else r, g.n)
+            best = max(best, Fraction(edges + len(packed), k))
     return best
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sparsekit import (
+    Graph,
     SizeLimitError,
     ValidationError,
     density_profile,
@@ -20,7 +21,7 @@ from sparsekit.density import _pack_paths, top_grad
 from sparsekit.graphs import catalog_names
 from sparsekit.rng import Xoshiro256
 
-from conftest import pack_paths_oracle, random_graph
+from conftest import all_graphs_up_to_iso, pack_paths_oracle, path_density_oracle, random_graph
 
 
 def test_nabla0_complete():
@@ -185,6 +186,33 @@ def test_path_packing_witnesses_pinned():
     assert digest == "d07130cfa840bf0487e6fee8fa6b76344925285645dfc081ded4ecf3f5376e3a"
 
 
+def test_path_densities_match_oracle():
+    # both path-packing searches against the oracle, which tries every
+    # principal set and every simple path, on every graph of <= 5 vertices
+    for n in range(1, 6):
+        for g in all_graphs_up_to_iso(n):
+            for r in (1, 2):
+                assert top_grad(g, r)[0] == path_density_oracle(g, r, True), (g.edges, r)
+                assert imm_grad(g, r)[0] == path_density_oracle(g, r, False), (g.edges, r)
+    # a 6-vertex graph whose densest depth-1 immersion, K_4, needs a path of length 3
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5)])
+    assert imm_grad(g, 1)[0] == path_density_oracle(g, 1, False) == Fraction(3, 2)
+
+
+def test_path_densities_on_petersen_pinned():
+    # Petersen is 3-regular, so its whole edge set (density 3/2) is the
+    # best at depths 1 and 2; the values and models of both searches
+    rows = []
+    g = named("Petersen")
+    for r in (1, 2):
+        for fn in (top_grad, imm_grad):
+            value, model = fn(g, r)
+            assert value == Fraction(3, 2) and model.validate(g), (fn.__name__, r)
+            rows.append([r, fn.__name__, str(value), model.to_json()])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "832cef91e7ee3e0593fecc72a4592cc5a20395b0d7b95988fdfd97edb0955275"
+
+
 def test_pack_paths_matches_oracle():
     # random candidate lists, some empty, whose edge masks and interiors
     # overlap often, at interior caps 1 to 3: the same first best packing
@@ -222,6 +250,8 @@ def test_models_reject_planted_violations():
                            [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0)])),
         ("K_2", MinorModel([[0, 1]], 1, [(0, 0)])),  # loop
         ("K_2", MinorModel([[0], [1]], 0, [(0, 2)])),  # no such branch set
+        ("P_4", MinorModel([[0], [7]], 1, [(0, 1)])),  # no such vertex
+        ("P_4", MinorModel([[0], [-1]], 1, [(0, 1)])),  # negative vertex
         # TopoModel
         ("K_2", TopoModel([0, 1], [(0, 1), (1, 0)], 0)),  # repeated pair
         ("C_4", TopoModel([0, 2], [(0, 1, 2), (0, 3, 2)], 1)),  # pair twice
@@ -231,6 +261,11 @@ def test_models_reject_planted_violations():
         ("C_6", TopoModel([0, 2, 1], [(0, 1, 2)], 1)),  # through a principal
         # shared interior: both paths run through the hub
         ("star_4", TopoModel([1, 2, 3, 4], [(1, 0, 2), (3, 0, 4)], 2)),
+        # a repeated principal: density 3/4 claimed on K_3
+        ("K_3", TopoModel([0, 0, 1, 2], [(0, 1), (0, 2), (1, 2)], 1)),
+        ("P_4", TopoModel([0, 7], [], 1)),  # no such principal
+        ("P_4", TopoModel([0, -1], [(0, -1)], 1)),  # negative principal
+        ("P_4", TopoModel([0, 2], [(0, -1, 2)], 1)),  # negative interior
         # ImmersionModel
         ("C_6", ImmersionModel([0, 1], [(0, 1), (1, 0)], 1)),  # repeated edge
         ("C_4", ImmersionModel([0, 2], [(0, 1, 2), (0, 3, 2)], 1)),  # pair twice
@@ -240,6 +275,11 @@ def test_models_reject_planted_violations():
         ("K_3", ImmersionModel([0, 1, 2], [(0, 1), (0, 1, 2)], 1)),  # shared edge
         # overloaded interior: both paths run through the hub at depth 1
         ("star_4", ImmersionModel([1, 2, 3, 4], [(1, 0, 2), (3, 0, 4)], 1)),
+        # a repeated principal: density 3/4 claimed on K_3
+        ("K_3", ImmersionModel([0, 0, 1, 2], [(0, 1), (0, 2), (1, 2)], 1)),
+        ("P_4", ImmersionModel([0, -1], [(0, -1)], 1)),  # negative principal
+        ("P_4", ImmersionModel([-1, 2], [(-1, 2)], 1)),  # -1 would read vertex 3
+        ("P_4", ImmersionModel([0, 2], [(0, 7, 2)], 1)),  # no such interior
     ]
     for name, model in invalid:
         assert not model.validate(named(name)), (name, model.to_json())

@@ -123,7 +123,6 @@ SETTABLE = {
     "counting.count_embeddings.induced",
     "counting.find_embedding.induced",
     "counting.count_ltd.decomposition",
-    "decomposition.LtdVerification.failed",
     "decomposition.ClusterCover.palette",
     "decomposition.ClusterCover.membership_bound",
     "errors.ParseError.line",
