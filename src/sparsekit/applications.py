@@ -20,18 +20,18 @@ from .treedepth import greedy_smallest_last_coloring
 # ---------------------------------------------------------------------------
 # distance colorings
 
+def _distance_graph(g, keep):
+    """Same vertex set; an edge joins u,v iff keep(their hop distance)."""
+    dist = all_pairs_distances(g)
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if keep(dist[u][v])])
+
+
 def exact_distance_graph(g, n):
     """Same vertex set; an edge joins u,v iff their hop distance is exactly n."""
     if n < 1:
         raise ValidationError("distance must be >= 1")
-    dist = all_pairs_distances(g)
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if dist[u][v] == n
-    ]
-    return Graph(g.n, edges)
+    return _distance_graph(g, lambda d: d == n)
 
 
 def dn_coloring(g, n):
@@ -64,15 +64,7 @@ def max_odd_distance_set(g):
     max-clique search on the odd-distance auxiliary graph."""
     if g.n > ODDSET_LIMIT:
         raise SizeLimitError(f"max_odd_distance_set limited to {ODDSET_LIMIT} vertices")
-    dist = all_pairs_distances(g)
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if dist[u][v] != INFINITY and dist[u][v] % 2 == 1
-    ]
-    aux = Graph(g.n, edges)
-    return max_clique(aux)
+    return max_clique(_distance_graph(g, lambda d: d != INFINITY and d % 2 == 1))
 
 
 # ---------------------------------------------------------------------------

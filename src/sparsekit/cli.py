@@ -264,8 +264,7 @@ def cmd_dual_check(args):
         else:
             specs.append(token)
     family = [load_graph(s) for s in specs]
-    report = homomorphism.dual_check(pattern, dual, family,
-                                     budgets=given(args, "budget"))
+    report = homomorphism.dual_check(pattern, dual, family, **given(args, "budget"))
     report["family"] = specs
     if report["violations"] or report["pattern_maps_to_dual"]:
         return EXIT_FAILED, report

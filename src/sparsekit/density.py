@@ -18,6 +18,7 @@ from .graphs import (
     degeneracy,
     induced_subgraph,
     is_connected_mask,
+    mask_edges,
     mask_of,
     mask_vertices,
 )
@@ -341,15 +342,12 @@ def nabla0_bruteforce(g):
             f"nabla0_bruteforce limited to {NABLA0_BRUTEFORCE_LIMIT} vertices")
     if g.n == 0:
         raise ValidationError("nabla0 needs at least one vertex")
-    adj = g.adj_mask
     best = Fraction(0)
     witness = [0]
     for mask in range(1, 1 << g.n):
-        verts = mask_vertices(mask)
-        e = sum(bin(adj[v] & mask).count("1") for v in verts) // 2
-        d = Fraction(e, len(verts))
+        d = Fraction(mask_edges(g.adj_mask, mask), mask.bit_count())
         if d > best:
-            best, witness = d, verts
+            best, witness = d, mask_vertices(mask)
     return best, witness
 
 
@@ -407,10 +405,10 @@ def grad(g, r, exact_limit=12):
             for v in mask_vertices(mask):
                 nbr |= adj[v]
             low = (mask & -mask).bit_length() - 1
-            by_lowest[low].append((mask, nbr & ~mask, _edges_inside_mask(g, mask)))
+            by_lowest[low].append((mask, nbr & ~mask, mask_edges(adj, mask)))
     for lst in by_lowest:
         # larger sets first reaches contracted structures early
-        lst.sort(key=lambda c: (-bin(c[0]).count("1"), c[0]))
+        lst.sort(key=lambda c: (-c[0].bit_count(), c[0]))
 
     best = list(_densest_model(g, r, MinorModel))
     sets = []
@@ -419,7 +417,7 @@ def grad(g, r, exact_limit=12):
     # densities compare by cross-multiplication: x / y > best[0] with y > 0
     # iff x * den > num * y
     def bound_allows(e, h, blocked, internal):
-        free = n - bin(blocked).count("1")
+        free = n - blocked.bit_count()
         budget = m - internal - e
         num, den = best[0].numerator, best[0].denominator
         for a in range(free + 1):
@@ -463,11 +461,6 @@ def grad(g, r, exact_limit=12):
 
 # ---------------------------------------------------------------------------
 # shallow topological minors and immersions
-
-def _edges_inside_mask(g, mask):
-    return sum(bin(g.adj_mask[v] & mask).count("1")
-               for v in mask_vertices(mask)) // 2
-
 
 def _edge_bits(g):
     """Edge bit of each ordered vertex pair joined by an edge of g."""
@@ -598,8 +591,8 @@ def top_grad(g, r, exact_limit=12):
 
     subsets = []
     for mask in range(1, 1 << n):
-        k = bin(mask).count("1")
-        e0 = _edges_inside_mask(g, mask)
+        k = mask.bit_count()
+        e0 = mask_edges(g.adj_mask, mask)
         ub = Fraction(min(k * (k - 1) // 2, e0 + (n - k)), k)
         subsets.append((ub, mask, k, e0))
     subsets.sort(key=lambda s: (-s[0], s[1]))
@@ -637,7 +630,7 @@ def imm_grad(g, r, exact_limit=10):
 
     subsets = []
     for mask in range(1, 1 << n):
-        k = bin(mask).count("1")
+        k = mask.bit_count()
         ub = Fraction(min(k * (k - 1) // 2, m), k)
         subsets.append((ub, mask, k))
     subsets.sort(key=lambda s: (-s[0], s[1]))

@@ -131,6 +131,11 @@ def mask_vertices(mask):
     return out
 
 
+def mask_edges(adj_mask, mask):
+    """Number of edges with both ends in the vertex bitmask."""
+    return sum((adj_mask[v] & mask).bit_count() for v in mask_vertices(mask)) // 2
+
+
 def mask_of(vertices):
     m = 0
     for v in vertices:
@@ -246,7 +251,7 @@ def named(name):
         edges = []
         for u in range(16):
             for v in range(u + 1, 16):
-                w = bin(u ^ v).count("1")
+                w = (u ^ v).bit_count()
                 if w == 1 or w == 4:
                     edges.append((u, v))
         return Graph(16, edges)

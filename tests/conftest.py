@@ -7,7 +7,7 @@ checked against something that cannot share their bugs.
 
 import os
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -645,6 +645,16 @@ def clique_number_oracle(g):
             break
         best = k
     return best
+
+
+# ---------------------------------------------------------------------------
+# homomorphism oracle: some map of g's vertices to h's sends every edge of g
+# to an edge of h, trying all h.n ** g.n maps
+
+def hom_oracle(g, h):
+    arcs = set(h.edges) | {(b, a) for a, b in h.edges}
+    return any(all((f[u], f[v]) in arcs for u, v in g.edges)
+               for f in product(range(h.n), repeat=g.n))
 
 
 # ---------------------------------------------------------------------------

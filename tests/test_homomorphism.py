@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from conftest import all_graphs_up_to_iso, hom_oracle
 from sparsekit import (
     BudgetExceededError,
     Graph,
@@ -11,6 +15,7 @@ from sparsekit import (
     t_approximation_check,
 )
 from sparsekit.counting import is_isomorphic
+from sparsekit.graphs import catalog_names
 from sparsekit.homomorphism import is_homomorphism
 
 
@@ -49,6 +54,47 @@ def test_composition_is_homomorphism():
     f2 = hom_exists(h, k)
     composed = {v: f2[f1[v]] for v in range(g.n)}
     _check_witness(g, k, composed)
+
+
+def test_hom_exists_matches_oracle():
+    # existence on every ordered pair of graphs with at most 5 vertices, up
+    # to isomorphism and the empty graph included, against trying every
+    # vertex map; 977 of the 2,809 pairs have no homomorphism
+    graphs = [g for n in range(6) for g in all_graphs_up_to_iso(n)]
+    assert len(graphs) == 53
+    found = 0
+    for g in graphs:
+        for h in graphs:
+            w = hom_exists(g, h)
+            assert (w is not None) == hom_oracle(g, h), (g.edges, h.n, h.edges)
+            if w is not None:
+                _check_witness(g, h, w)
+                found += 1
+    assert found == 1832
+
+
+def _hom_row(g, h, **budget):
+    try:
+        w = hom_exists(g, h, **budget)
+    except BudgetExceededError:
+        return "indeterminate"
+    return None if w is None else [w[v] for v in range(g.n)]
+
+
+def test_hom_exists_witnesses_pinned():
+    # witness, None or "indeterminate" on every ordered pair of catalog
+    # graphs with at most 10 vertices, at the default budget, at 20 nodes
+    # and at g.n + 1 nodes (just enough for a search that never backtracks),
+    # pinned by digest: the search order and its node count decide them,
+    # and the CLI's --budget exit codes rest on the node count
+    graphs = [named(nm) for nm in catalog_names(max_n=10)]
+    rows = [[_hom_row(g, h), _hom_row(g, h, budget=20), _hom_row(g, h, budget=g.n + 1)]
+            for g in graphs for h in graphs]
+    assert len(rows) == 46 * 46
+    assert sum(row[1] == "indeterminate" for row in rows) == 128
+    assert sum(row[2] == "indeterminate" for row in rows) == 295
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "997e1557b61265cda3d3ad94670c621c2f6d6d13411703964035a307cafba751"
 
 
 def test_budget_indeterminate():

@@ -112,7 +112,7 @@ SETTABLE = {
     "density.density_profile.exact_limit",
     "homomorphism.core.exact_limit",
     "homomorphism.hom_exists.budget",
-    "homomorphism.dual_check.budgets",
+    "homomorphism.dual_check.budget",
     # count --method auto lifts the oracle's host limit
     "counting.count_bruteforce.host_limit",
     # set only by the failure-path tests
