@@ -7,10 +7,10 @@ from itertools import combinations
 from .errors import SizeLimitError, ValidationError
 from .graphs import (
     Graph,
-    INFINITY,
-    all_pairs_distances,
-    bfs_distances,
-    induced_subgraph,
+    distances_within,
+    is_connected_mask,
+    mask_of,
+    mask_radius,
     max_clique,
     named,
 )
@@ -20,18 +20,19 @@ from .treedepth import greedy_smallest_last_coloring
 # ---------------------------------------------------------------------------
 # distance colorings
 
-def _distance_graph(g, keep):
-    """Same vertex set; an edge joins u,v iff keep(their hop distance)."""
-    dist = all_pairs_distances(g)
-    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                       if keep(dist[u][v])])
+def _distance_graph(g, radius, keep):
+    """Same vertex set; an edge joins u,v iff their hop distance d is at
+    most radius and keep(d)."""
+    return Graph(g.n, [(u, v) for u in range(g.n)
+                       for v, d in distances_within(g.adj, u, radius).items()
+                       if u < v and keep(d)])
 
 
 def exact_distance_graph(g, n):
     """Same vertex set; an edge joins u,v iff their hop distance is exactly n."""
     if n < 1:
         raise ValidationError("distance must be >= 1")
-    return _distance_graph(g, lambda d: d == n)
+    return _distance_graph(g, n, lambda d: d == n)
 
 
 def dn_coloring(g, n):
@@ -64,7 +65,7 @@ def max_odd_distance_set(g):
     max-clique search on the odd-distance auxiliary graph."""
     if g.n > ODDSET_LIMIT:
         raise SizeLimitError(f"max_odd_distance_set limited to {ODDSET_LIMIT} vertices")
-    return max_clique(_distance_graph(g, lambda d: d != INFINITY and d % 2 == 1))
+    return max_clique(_distance_graph(g, g.n, lambda d: d % 2 == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +102,9 @@ class Cover:
 
 
 def ball(g, center, radius):
-    dist = bfs_distances(g, center)
-    return sorted(v for v in range(g.n) if dist[v] is not INFINITY and dist[v] <= radius)
+    if not (0 <= center < g.n):
+        raise ValidationError(f"source {center} out of range")
+    return sorted(distances_within(g.adj, center, radius))
 
 
 def neighborhood_cover(g, r):
@@ -117,20 +119,20 @@ def neighborhood_cover(g, r):
     """
     if r < 1:
         raise ValidationError("r must be >= 1")
-    balls_r = [set(ball(g, v, r)) for v in range(g.n)]
+    balls_r = [distances_within(g.adj, v, r) for v in range(g.n)]
     clusters = []
     covered = [False] * g.n
-    while True:
-        pending = next((v for v in range(g.n) if not covered[v]), None)
-        if pending is None:
-            break
+    for pending in range(g.n):
+        if covered[pending]:
+            continue
         mset = balls_r[pending]
         # a shortest path from the center to a ball vertex stays in the
         # ball, so its eccentricity in the cluster is its largest distance
-        dist = bfs_distances(g, pending)
-        clusters.append((sorted(mset), pending, max(dist[v] for v in mset)))
-        for v in range(g.n):
-            if not covered[v] and balls_r[v] <= mset:
+        clusters.append((sorted(mset), pending, max(mset.values())))
+        # every ball holds its own center, so a ball inside mset is centred
+        # at one of mset's vertices
+        for v in mset:
+            if not covered[v] and balls_r[v].keys() <= mset.keys():
                 covered[v] = True
     return Cover(clusters, r)
 
@@ -141,16 +143,16 @@ def verify_cover(g, cover):
     r = cover.r
     cluster_sets = []
     for vs, _, _ in cover.clusters:
-        sub, back = induced_subgraph(g, list(vs))
-        dists = [bfs_distances(sub, i) for i in range(sub.n)]
-        if any(INFINITY in d for d in dists):
+        if not all(0 <= v < g.n for v in vs):
+            raise ValidationError("cluster vertex out of range")
+        mask = mask_of(vs)
+        if not is_connected_mask(g.adj_mask, mask):
             return False, ("disconnected-cluster", list(vs))
-        radius = min(max(d) for d in dists) if sub.n else 0
-        if radius > 2 * r:
+        if mask and mask_radius(g.adj_mask, mask) > 2 * r:  # an empty cluster passes
             return False, ("radius-exceeded", list(vs))
         cluster_sets.append(set(vs))
     for v in range(g.n):
-        nr = set(ball(g, v, r))
+        nr = distances_within(g.adj, v, r).keys()
         if not any(nr <= cs for cs in cluster_sets):
             return False, ("uncovered-neighborhood", v)
     return True, None

@@ -133,11 +133,11 @@ def cmd_verify_ltd(args):
 
 
 # `count --method auto` enumerates when the anchor-tree bound on the maps the
-# enumeration can reach is at most this many per host vertex. Enumeration takes
-# about 1-2 us a map, the decomposition route 0.05 ms (stars) to 10 ms
-# (triangulations) a host vertex, so the measured crossover lies at 700-1700
-# maps a vertex on K_2,b hosts and below 100 on stars; CHANGES.md has the
-# calibration.
+# enumeration can reach is at most this many per host vertex. The value was
+# calibrated (CHANGES.md) for an enumerator that took 1-2 us a map; the bitmask
+# enumerator is several times faster a map, so on hub hosts the crossover now
+# lies above it. A new value changes "method" and "palette" in stdout, so it
+# waits for the re-measured route rule of ROADMAP item 4.
 ENUMERATION_MAPS_PER_VERTEX = 1000
 
 

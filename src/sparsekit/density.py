@@ -20,6 +20,7 @@ from .graphs import (
     is_connected_mask,
     mask_edges,
     mask_of,
+    mask_radius,
     mask_vertices,
 )
 
@@ -63,11 +64,8 @@ class MinorModel(_Model):
             if used & set(b):
                 return False
             used |= set(b)
-        for b in self.branch_sets:
-            mask = mask_of(b)
-            if not is_connected_mask(g.adj_mask, mask):
-                return False
-            if _mask_radius(g, mask) > self.depth:
+        for b in self.branch_sets:  # a disconnected set has radius inf
+            if mask_radius(g.adj_mask, mask_of(b)) > self.depth:
                 return False
         if len(set(self.minor_edges)) != len(self.minor_edges):
             return False
@@ -182,27 +180,6 @@ class ImmersionModel(_PathModel):
                 if interior_load[v] > self.depth:
                     return False
         return True
-
-
-def _mask_radius(g, mask):
-    """Radius of the induced subgraph on mask (min over roots of max BFS
-    depth, measured inside the mask)."""
-    best = None
-    for root in mask_vertices(mask):
-        seen = 1 << root
-        frontier = 1 << root
-        depth = 0
-        while seen != mask and frontier:
-            nxt = 0
-            for v in mask_vertices(frontier):
-                nxt |= g.adj_mask[v] & mask & ~seen
-            seen |= nxt
-            frontier = nxt
-            depth += 1
-        ecc = depth if seen == mask else None
-        if ecc is not None and (best is None or ecc < best):
-            best = ecc
-    return best if best is not None else float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +377,7 @@ def grad(g, r, exact_limit=12):
     adj = g.adj_mask
     by_lowest = [[] for _ in range(n)]
     for mask in range(1, 1 << n):
-        if is_connected_mask(adj, mask) and _mask_radius(g, mask) <= r:
+        if is_connected_mask(adj, mask) and mask_radius(adj, mask) <= r:
             nbr = 0
             for v in mask_vertices(mask):
                 nbr |= adj[v]

@@ -122,6 +122,26 @@ def is_connected_mask(adj_mask, mask):
     return next(component_masks(adj_mask, mask), 0) == mask
 
 
+def mask_radius(adj_mask, mask):
+    """Radius of the subgraph induced on the vertex bitmask: the least, over
+    its vertices, of the BFS depth inside the mask that reaches all of it;
+    inf when no vertex reaches all of it (the mask is disconnected or 0)."""
+    best = INFINITY
+    for root in mask_vertices(mask):
+        seen = frontier = 1 << root
+        depth = 0
+        while seen != mask and frontier and depth < best:
+            nxt = 0
+            for v in mask_vertices(frontier):
+                nxt |= adj_mask[v] & mask & ~seen
+            seen |= nxt
+            frontier = nxt
+            depth += 1
+        if seen == mask:
+            best = depth
+    return best
+
+
 def mask_vertices(mask):
     out = []
     while mask:
@@ -367,28 +387,33 @@ def induced_subgraph(g, vertices):
     return Graph(len(vs), edges, labels=labels), vs
 
 
-def bfs_distances(g, source):
-    """Exact hop distances from source; unreachable vertices get INFINITY."""
-    if not (0 <= source < g.n):
-        raise ValidationError(f"source {source} out of range")
-    dist = [INFINITY] * g.n
-    dist[source] = 0
+def distances_within(adj, source, radius):
+    """{vertex: hop distance from source} for the vertices at most radius
+    hops away, by a BFS over the neighbour lists adj that stops at that
+    depth."""
+    dist = {source: 0}
     frontier = [source]
     d = 0
-    while frontier:
+    while frontier and d < radius:
         d += 1
         nxt = []
         for u in frontier:
-            for w in g.adj[u]:
-                if dist[w] == INFINITY:
+            for w in adj[u]:
+                if w not in dist:
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
     return dist
 
 
-def all_pairs_distances(g):
-    return [bfs_distances(g, v) for v in range(g.n)]
+def bfs_distances(g, source):
+    """Exact hop distances from source; unreachable vertices get INFINITY."""
+    if not (0 <= source < g.n):
+        raise ValidationError(f"source {source} out of range")
+    dist = [INFINITY] * g.n
+    for v, d in distances_within(g.adj, source, g.n).items():
+        dist[v] = d
+    return dist
 
 
 def connected_components(g):
@@ -709,41 +734,11 @@ def max_clique(g):
 
 
 def chromatic_number(g):
-    """Exact χ: lower-bound by ω, then decide k-colorability upward."""
+    """Exact χ: the least k from ω upward for which _rgs_coloring finds a
+    proper coloring with k colors."""
+    from .treedepth import _rgs_coloring
+
     if g.n > CHROMATIC_LIMIT:
         raise SizeLimitError(f"chromatic_number limited to {CHROMATIC_LIMIT} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    lb = len(max_clique(g))
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-
-    def colorable(k):
-        colors = [-1] * g.n
-
-        def place(i, used):
-            if i == len(order):
-                return True
-            v = order[i]
-            forbidden = set()
-            for w in g.adj[v]:
-                if colors[w] >= 0:
-                    forbidden.add(colors[w])
-            for c in range(min(used + 1, k)):
-                if c in forbidden:
-                    continue
-                colors[v] = c
-                if place(i + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-                if c == used:
-                    break  # first fresh color suffices by symmetry
-            return False
-
-        return place(0, 0)
-
-    k = lb
-    while not colorable(k):
-        k += 1
-    return k
+    return next(k for k in range(len(max_clique(g)), g.n + 1)
+                if _rgs_coloring(g, k, lambda c: True))

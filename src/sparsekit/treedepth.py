@@ -12,8 +12,9 @@ verifier needs. It decides an induced subgraph G[S] on g's own ids from
 the vertex set S as a bitmask, without copying it.
 
 The brute-force palette oracles (the minimum centered and ranking palettes
-here, chi_p in decomposition) share one walk over the proper colorings
-with k colors up to renaming, _rgs_coloring; each passes it its own test.
+here, chi_p in decomposition, chi in graphs) share one walk over the proper
+colorings with k colors up to renaming, _rgs_coloring; each passes it its
+own test.
 """
 
 from itertools import permutations

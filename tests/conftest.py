@@ -648,6 +648,17 @@ def clique_number_oracle(g):
 
 
 # ---------------------------------------------------------------------------
+# chromatic-number oracle: the least k for which some map of the vertices to
+# k colours gives the ends of every edge different colours, trying all k ** n
+# maps for k = 0, 1, 2, ...
+
+def chromatic_oracle(g):
+    return next(k for k in range(g.n + 1)
+                if any(all(f[u] != f[v] for u, v in g.edges)
+                       for f in product(range(k), repeat=g.n)))
+
+
+# ---------------------------------------------------------------------------
 # homomorphism oracle: some map of g's vertices to h's sends every edge of g
 # to an edge of h, trying all h.n ** g.n maps
 

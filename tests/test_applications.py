@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +9,7 @@ from sparsekit import (
     Graph,
     SizeLimitError,
     ValidationError,
+    bounded_degree_graph,
     chromatic_number,
     dn_coloring,
     exact_distance_graph,
@@ -18,6 +21,7 @@ from sparsekit import (
     nabla0,
     named,
     neighborhood_cover,
+    triangulation,
     verify_cover,
     verify_dn_coloring,
 )
@@ -179,6 +183,63 @@ def test_cover_planted_radius_violation():
     bad = Cover(cheat, 1)
     ok, witness = verify_cover(g, bad)
     assert not ok and witness[0] == "radius-exceeded"
+
+
+def test_cover_vertices_out_of_range_are_refused():
+    g = named("P_4")
+    for vs in ((0, 4), (-1, 0)):
+        with pytest.raises(ValidationError):
+            verify_cover(g, Cover([(vs, 0, 1)], 1))
+    for center in (-1, 4):
+        with pytest.raises(ValidationError):
+            ball(g, center, 1)
+
+def _planted_covers(g, cover):
+    """Bad covers built from a good one: its largest cluster minus its last
+    vertex, an extra empty cluster, an extra two-vertex cluster with no edge
+    (when g has a non-adjacent pair), and an extra cluster of everything
+    within g.n hops of vertex 0, whose radius may pass 2r."""
+    clusters = list(cover.clusters)
+    widest = max(range(len(clusters)), key=lambda i: len(clusters[i][0]))
+    vs, center, radius = clusters[widest]
+    planted = [clusters[:widest] + [(vs[:-1], center, radius)] + clusters[widest + 1:],
+               clusters + [((), 0, 0)]]
+    apart = next(((u, v) for u, v in combinations(range(g.n), 2)
+                  if not g.has_edge(u, v)), None)
+    if apart is not None:
+        planted.append(clusters + [(apart, apart[0], 1)])
+    planted.append(clusters + [(ball(g, 0, g.n), 0, g.n)])
+    return [Cover(c, cover.r) for c in planted]
+
+
+def test_distance_layer_outputs_pinned():
+    # covers at r = 1..3 with verify_cover's verdict on each and on planted
+    # bad covers, distance-n colourings and graphs, and maximum odd-distance
+    # sets, pinned by digest over the catalog, long paths, large stars,
+    # grids, seeded triangulations and max-degree-3 graphs: every routine
+    # here rests on hop distances, so a BFS cut one level short shows
+    hosts = [named(name) for name in catalog_names()]
+    hosts += [named(name) for name in ("P_300", "star_300", "grid_20x20")]
+    hosts += [Graph(7, [(0, 1), (1, 2), (4, 5)])]  # isolated vertices
+    for seed in (1, 2, 3):
+        hosts.append(triangulation(40 + 30 * seed, seed))
+        hosts.append(bounded_degree_graph(60 + 50 * seed, 3, seed))
+    rows = []
+    for g in hosts:
+        row = {"n": g.n, "m": g.m}
+        for r in (1, 2, 3):
+            cover = neighborhood_cover(g, r)
+            row[f"cover_{r}"] = [cover.to_json(), verify_cover(g, cover)]
+            row[f"planted_{r}"] = [verify_cover(g, bad) for bad in _planted_covers(g, cover)]
+        for n in (1, 3, 5):
+            coloring = dn_coloring(g, n)
+            row[f"dn_{n}"] = [coloring.to_json(), verify_dn_coloring(g, n, coloring)]
+        row["exact"] = [exact_distance_graph(g, n).edges for n in (1, 2, 3, 4, 5)]
+        if g.n <= 30:
+            row["oddset"] = max_odd_distance_set(g)
+        rows.append(row)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "66c3d1414ff8c411caa6886bd6255616a4598977e9b743a2c8e3b9ce5fd17ad7"
 
 
 def test_girth5_generator_really_has_girth5():

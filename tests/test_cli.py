@@ -1,8 +1,10 @@
+import hashlib
 import importlib.util
 import inspect
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -388,6 +390,27 @@ def test_verify_ltd_at_a_large_p(tmp_path, capsys):
     payload = json.loads(out.out)
     check("verify-ltd", payload)
     assert payload["ok"] is True and out.err == ""
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["cover", "-r", "2"], "f6cc8674d0861234213d9c2bffc5fcb55b6def4127b37ba91bf513fe03feb6c4"),
+    (["dncolor", "-n", "3"], "6ba211eb471fce03082b52e4eaa266564365d2fc1ff244fcf46f4dd00d887e6f"),
+], ids=["cover", "dncolor"])
+def test_distance_commands_on_a_long_path(tmp_path, capsys, args, digest):
+    # P_3000 read from a file: each r-ball and each distance-3 pair comes
+    # from a BFS cut at that depth, not from a whole-graph BFS per vertex,
+    # so either call takes well under the 3-s bound
+    from sparsekit import cli
+
+    path = tmp_path / "path.el"
+    path.write_text(serialize_edge_list(named("P_3000")))
+    start = time.perf_counter()
+    code = cli.main(args + [str(path)])
+    wall = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+    assert wall < 3.0, wall
 
 
 def test_bench_tracer_names_resolve():

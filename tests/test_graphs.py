@@ -37,6 +37,8 @@ from sparsekit.graphs import (
 from sparsekit.rng import Xoshiro256
 
 from conftest import (
+    all_graphs_up_to_iso,
+    chromatic_oracle,
     clique_number_oracle,
     colorset_components_oracle,
     components_oracle,
@@ -351,6 +353,28 @@ def test_clique_chromatic_petersen():
     assert clique_number(g) == 2
     assert chromatic_number(g) == 3
 
+
+def test_chromatic_number_matches_exhaustive_oracle():
+    for n in range(7):
+        for g in all_graphs_up_to_iso(n):
+            assert chromatic_number(g) == chromatic_oracle(g), g.edges
+
+
+def test_chromatic_number_of_triangle_free_4_chromatic_graphs():
+    # Grötzsch (the Mycielskian of C_5) and Chvátal: triangle-free, yet no
+    # 3-colouring; too large for the all-maps oracle
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    grotzsch = Graph(11, c5 + [(u + 5, v) for u, v in c5] + [(v + 5, u) for u, v in c5]
+                     + [(i + 5, 10) for i in range(5)])
+    chvatal = Graph(12, [(0, 1), (0, 4), (0, 6), (0, 9), (1, 2), (1, 5), (1, 7), (2, 3),
+                         (2, 6), (2, 8), (3, 4), (3, 7), (3, 9), (4, 5), (4, 8), (5, 10),
+                         (5, 11), (6, 10), (6, 11), (7, 8), (7, 11), (8, 10), (9, 10),
+                         (9, 11)])
+    assert (grotzsch.m, chvatal.m) == (20, 24)
+    assert all(chvatal.degree(v) == 4 for v in range(12))
+    for g in (grotzsch, chvatal):
+        assert clique_number(g) == 2
+        assert chromatic_number(g) == 4
 
 def test_clique_number_matches_exhaustive_oracle(small_graph_sample):
     dense = [random_graph(20, pct, seed=900 + pct) for pct in (20, 40, 60, 75)]
