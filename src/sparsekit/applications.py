@@ -139,9 +139,11 @@ def neighborhood_cover(g, r):
 
 def verify_cover(g, cover):
     """Check connectivity, radius <= 2r (best center), and N_r containment
-    for every vertex; returns (True, None) or (False, witness)."""
+    for every vertex; returns (True, None) or (False, witness). A cluster
+    holding N_r(v) holds v, so v's ball is tested only against the
+    clusters that contain v."""
     r = cover.r
-    cluster_sets = []
+    holding = [[] for _ in range(g.n)]  # holding[v]: the clusters with v
     for vs, _, _ in cover.clusters:
         if not all(0 <= v < g.n for v in vs):
             raise ValidationError("cluster vertex out of range")
@@ -150,10 +152,12 @@ def verify_cover(g, cover):
             return False, ("disconnected-cluster", list(vs))
         if mask and mask_radius(g.adj_mask, mask) > 2 * r:  # an empty cluster passes
             return False, ("radius-exceeded", list(vs))
-        cluster_sets.append(set(vs))
+        cluster = set(vs)
+        for v in cluster:
+            holding[v].append(cluster)
     for v in range(g.n):
         nr = distances_within(g.adj, v, r).keys()
-        if not any(nr <= cs for cs in cluster_sets):
+        if not any(nr <= cs for cs in holding[v]):
             return False, ("uncovered-neighborhood", v)
     return True, None
 

@@ -40,7 +40,6 @@ stops once it reaches the best set found. These tests skip the shortcut,
 whose induction assumes that the smaller sets hold.
 """
 
-from itertools import combinations
 from math import comb
 
 from .errors import SizeLimitError, SparsekitError, ValidationError
@@ -152,82 +151,90 @@ def tf_augment(orientation, rounds):
     a pair wins); the round's new fraternal edges are then oriented by a
     smallest-last peeling of the graph they form, which greedily keeps
     in-degrees low. Stops early at a fixpoint. Each round is _tf_round on
-    the orientation's neighbour sets.
+    the orientation's neighbour lists; the arcs it appends past the
+    round-start lengths are the round's, transitive unless among the
+    fraternal arcs it returns.
     """
     if rounds < 0:
         raise ValidationError("rounds must be >= 0")
     if rounds > ROUND_CAP:
         raise SizeLimitError(f"augmentation round cap {ROUND_CAP} exceeded")
-    out, inn = _neighbour_sets(orientation.n, orientation.arcs)
+    out, inn = _neighbour_lists(orientation.n, orientation.arcs)
     arcs = list(orientation.arcs)
     kind = dict(orientation.arc_kind)
     rnd = dict(orientation.arc_round)
     base_round = max(rnd.values(), default=0)
     for step in range(1, rounds + 1):
-        transitive, fraternal = _tf_round(out, inn)
-        if not transitive and not fraternal:
+        start, fraternal = _tf_round(out, inn)
+        added = [(u, w) for u, heads in enumerate(out) for w in heads[start[u]:]]
+        if not added:
             break
-        for added, label in ((transitive, ARC_TRANSITIVE), (fraternal, ARC_FRATERNAL)):
-            for a in added:
-                kind[a] = label
-                rnd[a] = base_round + step
-            arcs += added
+        fraternal = set(fraternal)
+        for a in added:
+            kind[a] = ARC_FRATERNAL if a in fraternal else ARC_TRANSITIVE
+            rnd[a] = base_round + step
+        arcs += added
     return Orientation(orientation.base, arcs, kind, rnd)
 
 
-def _neighbour_sets(n, arcs):
-    """Per-vertex out- and in-neighbour sets of the arcs on 0..n-1."""
-    out = [set() for _ in range(n)]
-    inn = [set() for _ in range(n)]
+def _neighbour_lists(n, arcs):
+    """Per-vertex out- and in-neighbour lists of the arcs on 0..n-1."""
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
     for u, v in arcs:
-        out[u].add(v)
-        inn[v].add(u)
+        out[u].append(v)
+        inn[v].append(u)
     return out, inn
 
 
 def _tf_round(out, inn):
     """One augmentation round, by tf_augment's rules, on the out- and
-    in-neighbour sets out[v] and inn[v], updated in place. Returns the
-    transitive and the fraternal arcs added, each in the order applied;
-    both are empty at a fixpoint. Candidate pairs (u, w) are kept as the
-    ints u * n + w, which sort as the pairs do. A decoded pair is looked up
-    in ids, so that the sets share one int object per vertex rather than
-    hold a new one per arc, which would raise the peak memory."""
+    in-neighbour lists out[v] and inn[v], which it extends in place.
+    Returns the round-start lengths of the out lists and the fraternal
+    arcs added; nothing is added at a fixpoint.
+
+    Both passes go through the tails u in ascending order, with stamp[x] ==
+    u marking the x already adjacent to u. The transitive pass adds u->w
+    for each unmarked w two round-start arcs away, so a pair's smaller
+    tail wins: when u comes, inn[u] already holds the w->u just added. The
+    fraternal pass then pairs u with each unmarked w > u that shares a
+    round-start head with it, and the pairs are oriented by
+    _orient_smallest_last.
+    """
     n = len(out)
-    ids = list(range(n))
-    transitive = set()
-    fraternal = set()
-    for v, tails in enumerate(inn):
-        heads = out[v]
-        if heads:
-            for u in tails:
-                # u != w throughout: no pair carries two arcs
-                out_u, inn_u, base = out[u], inn[u], u * n
-                transitive.update([base + w for w in heads
-                                   if w not in out_u and w not in inn_u])
-        if len(tails) > 1:
-            for u, w in combinations(sorted(tails), 2):
-                if w not in out[u] and w not in inn[u]:
-                    fraternal.add(u * n + w)
-    added = []
-    for key in sorted(transitive):
-        u, w = divmod(key, n)
-        u, w = ids[u], ids[w]
-        if w not in inn[u]:  # else the opposite direction was added first
-            out[u].add(w)
-            inn[w].add(u)
-            added.append((u, w))
+    start = [len(heads) for heads in out]
+    tails_start = [len(tails) for tails in inn]
+    stamp = [-1] * n
+    for u, heads in enumerate(out):
+        for x in heads:
+            stamp[x] = u
+        for x in inn[u]:
+            stamp[x] = u
+        new = []
+        for v in heads:
+            for w in out[v][:start[v]]:
+                if stamp[w] != u:
+                    stamp[w] = u
+                    new.append(w)
+                    inn[w].append(u)
+        heads += new
+    stamp = [-1] * n
     fresh = []
-    for key in sorted(fraternal):
-        u, w = divmod(key, n)
-        u, w = ids[u], ids[w]
-        if w not in out[u] and w not in inn[u]:
-            fresh.append((u, w))
+    for u, heads in enumerate(out):
+        for x in heads:
+            stamp[x] = u
+        for x in inn[u]:
+            stamp[x] = u
+        for v in heads[:start[u]]:
+            for w in inn[v][:tails_start[v]]:
+                if w > u and stamp[w] != u:
+                    stamp[w] = u
+                    fresh.append((u, w))
     fresh = _orient_smallest_last(fresh)
     for u, w in fresh:
-        out[u].add(w)
-        inn[w].add(u)
-    return added, fresh
+        out[u].append(w)
+        inn[w].append(u)
+    return start, fresh
 
 
 def _orient_smallest_last(edges):
@@ -352,7 +359,7 @@ def ltd_coloring(g, p, max_rounds=None):
     if max_rounds < 0:
         raise ValidationError("max_rounds must be >= 0")
     order = smallest_last_order(g)
-    out, inn = _neighbour_sets(g.n, orient_by_order(order, g.edges))
+    out, inn = _neighbour_lists(g.n, orient_by_order(order, g.edges))
     adj = g.adj
     for r in range(max_rounds + 1):
         if r > 0:

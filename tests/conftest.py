@@ -659,6 +659,39 @@ def chromatic_oracle(g):
 
 
 # ---------------------------------------------------------------------------
+# cover oracle: verify_cover as the plain scan it was before the clusters were
+# indexed by vertex, each r-ball tested against every cluster in order; the
+# balls, cluster connectivity and cluster radii come from a BFS of its own
+
+def verify_cover_oracle(g, cover):
+    def distances(source, keep):
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:
+            for w in g.adj[u]:
+                if w in keep and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
+    r = cover.r
+    sets = []
+    for vs, _, _ in cover.clusters:
+        cluster = set(vs)
+        if cluster and len(distances(min(cluster), cluster)) < len(cluster):
+            return False, ("disconnected-cluster", list(vs))
+        if cluster and min(max(distances(c, cluster).values()) for c in cluster) > 2 * r:
+            return False, ("radius-exceeded", list(vs))
+        sets.append(cluster)
+    everything = set(range(g.n))
+    for v in range(g.n):
+        ball = {w for w, d in distances(v, everything).items() if d <= r}
+        if not any(ball <= cluster for cluster in sets):
+            return False, ("uncovered-neighborhood", v)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # homomorphism oracle: some map of g's vertices to h's sends every edge of g
 # to an edge of h, trying all h.n ** g.n maps
 

@@ -28,7 +28,7 @@ from sparsekit import (
 from sparsekit.applications import Cover, ball
 from sparsekit.graphs import bfs_distances, catalog_names, induced_subgraph
 
-from conftest import clique_number_oracle
+from conftest import clique_number_oracle, verify_cover_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,38 @@ def test_distance_layer_outputs_pinned():
         rows.append(row)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "66c3d1414ff8c411caa6886bd6255616a4598977e9b743a2c8e3b9ce5fd17ad7"
+
+
+def test_verify_cover_matches_full_scan():
+    # verdicts and witnesses against the scan of every cluster for every
+    # vertex, on covers and on tampered covers: the planted ones, one with a
+    # cluster dropped (its vertices' balls may fit nowhere else), one with
+    # a cluster's vertex swapped for a neighbour outside it, and the
+    # clusters in reverse order
+    hosts = [named(name) for name in catalog_names()]
+    hosts += [named(name) for name in ("P_120", "star_40", "grid_9x9")]
+    hosts += [Graph(7, [(0, 1), (1, 2), (4, 5)])]  # isolated vertices
+    for seed in (1, 2):
+        hosts.append(triangulation(50, seed))
+        hosts.append(bounded_degree_graph(70, 3, seed))
+    verdicts = {True: 0, False: 0}
+    for g in hosts:
+        for r in (1, 2, 3):
+            cover = neighborhood_cover(g, r)
+            clusters = list(cover.clusters)
+            tampered = [cover, *_planted_covers(g, cover), Cover(clusters[::-1], r)]
+            for i in {0, len(clusters) // 2, len(clusters) - 1}:
+                tampered.append(Cover(clusters[:i] + clusters[i + 1:], r))
+                vs, center, radius = clusters[i]
+                outside = [w for v in vs for w in g.adj[v] if w not in vs]
+                if outside:
+                    moved = (vs[:-1] + (outside[0],), center, radius)
+                    tampered.append(Cover(clusters[:i] + [moved] + clusters[i + 1:], r))
+            for c in tampered:
+                got = verify_cover(g, c)
+                assert got == verify_cover_oracle(g, c), (g, r, c.clusters)
+                verdicts[got[0]] += 1
+    assert verdicts[True] >= 600 and verdicts[False] >= 700, verdicts
 
 
 def test_girth5_generator_really_has_girth5():

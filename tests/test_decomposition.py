@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -150,6 +151,19 @@ def test_ltd_coloring_at_ten_thousand_vertices():
         d = ltd_coloring(g, 2)
         assert d.verified
         assert verify_ltd(g, 2, d.coloring).ok
+
+
+def test_ltd_coloring_peak_memory():
+    # the bound sits between the 1.44 MB traced at the peak here and the
+    # 3.52 MB of rounds on neighbour sets with sorted integer pair keys
+    g = triangulation(1600, 1)
+    tracemalloc.start()
+    try:
+        ltd_coloring(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_ltd_coloring_output_pinned():

@@ -21,6 +21,7 @@ from sparsekit import (
     random_tree,
     serialize_edge_list,
     subdivide,
+    tf_augment,
     triangulation,
 )
 from sparsekit.graphs import (
@@ -31,6 +32,7 @@ from sparsekit.graphs import (
     connected_subsets,
     is_connected_mask,
     mask_of,
+    peel_smallest_last,
     smallest_last_order,
 )
 
@@ -287,6 +289,44 @@ def test_smallest_last_order_ties_go_to_smallest_id():
     assert degeneracy(g) == 1
     assert smallest_last_order(Graph(0, [])) == []
     assert degeneracy(Graph(0, [])) == 0
+
+
+def _peel_matches_full_scan(g):
+    # the peel against the full-scan oracles, and each recorded degree as
+    # the neighbours peeled after the vertex
+    peeled = peel_smallest_last(g.adj)
+    order = smallest_last_order_oracle(g)
+    assert [v for v, _ in peeled] == order[::-1], g
+    assert max((d for _, d in peeled), default=0) == degeneracy_peel_oracle(g), g
+    when = {v: i for i, (v, _) in enumerate(peeled)}
+    assert all(d == sum(when[w] > when[v] for w in g.adj[v]) for v, d in peeled), g
+
+
+def test_peel_edge_cases():
+    cases = [Graph(6, []), Graph(7, [(2, 5)]), Graph(9, [(0, 8), (8, 4), (1, 3)])]
+    # stars: the centre's degree falls with each leaf peeled, and the tie at
+    # degree 1 leaves the last leaf (centre 0) or the centre (centre 4) at 0
+    cases += [named("star_5"), Graph(5, [(4, i) for i in range(4)])]
+    # K_n minus a perfect matching: the minimum degree falls by one with
+    # nearly every peel, from n - 2 to 0
+    for n in (4, 6, 8, 12):
+        cases.append(Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                               if v != u ^ 1]))
+    # ties everywhere: cycles, complete graphs, grids and disjoint edges
+    cases += [named(name) for name in ("C_9", "K_7", "grid_4x5", "K_3,3", "Q_3")]
+    cases.append(Graph(10, [(i, 9 - i) for i in range(5)]))
+    for g in cases:
+        _peel_matches_full_scan(g)
+
+
+def test_peel_on_augmented_graphs():
+    # peel_sample holds no augmented graph; one or two rounds take these
+    # from degeneracy 3 to 9-64 and maximum degree up to 496
+    for s in (1, 2):
+        for g in (triangulation(500, s), bounded_degree_graph(500, 4, s)):
+            o = degeneracy_orientation(g)
+            for r in (1, 2):
+                _peel_matches_full_scan(tf_augment(o, r).underlying_graph())
 
 
 def test_orientation_is_acyclic():
