@@ -10,9 +10,9 @@ from .graphs import (
     distances_within,
     is_connected_mask,
     mask_of,
-    mask_radius,
     max_clique,
     named,
+    within_radius,
 )
 from .treedepth import greedy_smallest_last_coloring
 
@@ -150,7 +150,7 @@ def verify_cover(g, cover):
         mask = mask_of(vs)
         if not is_connected_mask(g.adj_mask, mask):
             return False, ("disconnected-cluster", list(vs))
-        if mask and mask_radius(g.adj_mask, mask) > 2 * r:  # an empty cluster passes
+        if mask and not within_radius(g.adj_mask, mask, 2 * r):  # an empty cluster passes
             return False, ("radius-exceeded", list(vs))
         cluster = set(vs)
         for v in cluster:

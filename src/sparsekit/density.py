@@ -1,7 +1,9 @@
-"""Exact desk-scale density measures: max subgraph density (flow-based with
-a brute-force cross-check oracle), and exhaustive shallow-minor, shallow
-topological-minor, and shallow-immersion densities with validating witness
-models.
+"""Exact desk-scale density measures with validating witness models: max
+subgraph density (Goldberg's flow network under a Newton iteration, whose
+witness is the set the flow's last level search reaches; a brute-force
+oracle cross-checks it), the exhaustive shallow-minor density, and the
+shallow topological-minor and shallow-immersion densities, which share one
+search over principal sets that packs paths between them.
 
 All densities are reduced rationals; equality assertions in tests are
 exact. The exhaustive searches refuse instances above their size limits
@@ -20,8 +22,8 @@ from .graphs import (
     is_connected_mask,
     mask_edges,
     mask_of,
-    mask_radius,
     mask_vertices,
+    within_radius,
 )
 
 
@@ -38,10 +40,10 @@ class _Model:
 
 
 class MinorModel(_Model):
-    """Disjoint sets of g's vertices, each inducing a connected subgraph of
-    radius <= depth; every claimed minor edge joins two distinct branch
-    sets, is listed once, and is witnessed by a base-graph edge between
-    them."""
+    """One or more disjoint sets of g's vertices, each inducing a connected
+    subgraph of radius <= depth; every claimed minor edge joins two distinct
+    branch sets, is listed once, and is witnessed by a base-graph edge
+    between them."""
 
     __slots__ = ("branch_sets", "depth", "minor_edges")
 
@@ -57,15 +59,15 @@ class MinorModel(_Model):
         return len(self.minor_edges)
 
     def validate(self, g):
-        if not all(0 <= v < g.n for b in self.branch_sets for v in b):
+        if not self.branch_sets or not all(0 <= v < g.n for b in self.branch_sets for v in b):
             return False
         used = set()
         for b in self.branch_sets:
             if used & set(b):
                 return False
             used |= set(b)
-        for b in self.branch_sets:  # a disconnected set has radius inf
-            if mask_radius(g.adj_mask, mask_of(b)) > self.depth:
+        for b in self.branch_sets:
+            if not within_radius(g.adj_mask, mask_of(b), self.depth):
                 return False
         if len(set(self.minor_edges)) != len(self.minor_edges):
             return False
@@ -105,11 +107,12 @@ class _PathModel(_Model):
         return len(self.paths)
 
     def _paths_valid(self, g):
-        """The principals are distinct vertices of g, each path is a simple
-        path of g of length 1..2*depth+1 between two principals, and no
-        principal pair is linked twice."""
+        """The principals are distinct vertices of g, at least one, each
+        path is a simple path of g of length 1..2*depth+1 between two
+        principals, and no principal pair is linked twice."""
         pset = set(self.principals)
-        if len(pset) != len(self.principals) or not all(0 <= v < g.n for v in pset):
+        if (not pset or len(pset) != len(self.principals)
+                or not all(0 <= v < g.n for v in pset)):
             return False
         seen_pairs = set()
         for path in self.paths:
@@ -200,8 +203,10 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s, t):
-        flow = 0
+    def min_cut_side(self, s, t):
+        """Push a maximum s-t flow by blocking flows along level graphs and
+        return the source side of the minimal minimum cut, s first: the
+        vertices the last level search reaches, which no longer include t."""
         while True:
             level = [-1] * self.size
             level[s] = 0
@@ -213,8 +218,8 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
-                return flow
-            flow += self._blocking_flow(s, t, level)
+                return queue
+            self._blocking_flow(s, t, level)
 
     def _blocking_flow(self, s, t, level):
         """Augment along level-graph paths from s until none is left, one
@@ -224,7 +229,6 @@ class _Dinic:
         head, to, cap = self.head, self.to, self.cap
         it = [0] * self.size
         path = []
-        total = 0
         u = s
         while True:
             if u == t:
@@ -232,7 +236,6 @@ class _Dinic:
                 for ei in path:
                     cap[ei] -= pushed
                     cap[ei ^ 1] += pushed
-                total += pushed
                 path.clear()
                 u = s
                 continue
@@ -248,19 +251,7 @@ class _Dinic:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
             else:
-                return total
-
-    def reachable(self, s):
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for ei in self.head[u]:
-                v = self.to[ei]
-                if self.cap[ei] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+                return
 
 
 def _denser_subgraph(g, density):
@@ -280,9 +271,7 @@ def _denser_subgraph(g, density):
     for u, v in g.edges:
         net.add_edge(u, v, b)
         net.add_edge(v, u, b)
-    net.max_flow(s, t)
-    side = net.reachable(s)
-    witness = sorted(v for v in side if v != s)
+    witness = sorted(net.min_cut_side(s, t)[1:])
     return witness or None
 
 
@@ -377,7 +366,8 @@ def grad(g, r, exact_limit=12):
     adj = g.adj_mask
     by_lowest = [[] for _ in range(n)]
     for mask in range(1, 1 << n):
-        if is_connected_mask(adj, mask) and mask_radius(adj, mask) <= r:
+        # the component search rejects most masks faster than the BFS
+        if is_connected_mask(adj, mask) and within_radius(adj, mask, r):
             nbr = 0
             for v in mask_vertices(mask):
                 nbr |= adj[v]
@@ -559,74 +549,60 @@ def top_grad(g, r, exact_limit=12):
     search (every edge of such a path meets its interior, so interior load
     1 keeps them edge-disjoint).
     """
-    found = _unless_search(g, r, TopoModel, "top_grad", exact_limit)
-    if found:
-        return found
-    n = g.n
-    edge_bit = _edge_bits(g)
-    best = _densest_model(g, r, TopoModel)
-
-    subsets = []
-    for mask in range(1, 1 << n):
-        k = mask.bit_count()
-        e0 = mask_edges(g.adj_mask, mask)
-        ub = Fraction(min(k * (k - 1) // 2, e0 + (n - k)), k)
-        subsets.append((ub, mask, k, e0))
-    subsets.sort(key=lambda s: (-s[0], s[1]))
-
-    for ub, mask, k, e0 in subsets:
-        if ub <= best[0]:
-            continue
-        principals = mask_vertices(mask)
-        if _degree_bound(g, principals) <= best[0]:
-            continue
-        pairs = [_paths_between(g, u, v, 2 * r + 1, mask, edge_bit)
-                 for u, v in combinations(principals, 2) if not g.has_edge(u, v)]
-        pairs = [cands for cands in pairs if cands]
-        if not Fraction(e0 + len(pairs), k) > best[0]:
-            continue
-        packed = _pack_paths(pairs, 1, n)
-        value = Fraction(e0 + len(packed), k)
-        if value > best[0]:
-            paths = [(u, v) for u, v in combinations(principals, 2)
-                     if g.has_edge(u, v)]
-            best = value, TopoModel(principals, paths + packed, r)
-    return best
+    return _path_grad(g, r, TopoModel, "top_grad", exact_limit)
 
 
 def imm_grad(g, r, exact_limit=10):
     """Exact max density over depth-r shallow immersions: edge-disjoint
     paths of length <= 2r+1 with per-vertex interior load <= r, packed for
     each principal set that passes an edge-count bound and _degree_bound."""
-    found = _unless_search(g, r, ImmersionModel, "imm_grad", exact_limit)
+    return _path_grad(g, r, ImmersionModel, "imm_grad", exact_limit)
+
+
+def _path_grad(g, r, cls, name, exact_limit):
+    """The principal-set search of top_grad (cls TopoModel) and imm_grad
+    (cls ImmersionModel), over principal sets by falling achievability
+    bound, then mask. A topological minor counts adjacent principals as
+    edges, keeps principals out of path interiors, caps interior load at 1
+    and bounds k principals with e0 adjacent pairs by e0 + (n - k) edges
+    (each path needs an interior vertex of its own); an immersion packs a
+    path for every pair, caps interior load at r and bounds by m."""
+    found = _unless_search(g, r, cls, name, exact_limit)
     if found:
         return found
+    topological = cls is TopoModel
     n, m = g.n, g.m
     edge_bit = _edge_bits(g)
-    best = _densest_model(g, r, ImmersionModel)
+    best = _densest_model(g, r, cls)
 
     subsets = []
     for mask in range(1, 1 << n):
         k = mask.bit_count()
-        ub = Fraction(min(k * (k - 1) // 2, m), k)
-        subsets.append((ub, mask, k))
+        reach = mask_edges(g.adj_mask, mask) + (n - k) if topological else m
+        subsets.append((Fraction(min(k * (k - 1) // 2, reach), k), mask))
     subsets.sort(key=lambda s: (-s[0], s[1]))
 
-    for ub, mask, k in subsets:
+    for ub, mask in subsets:
         if ub <= best[0]:
             continue
         principals = mask_vertices(mask)
+        k = len(principals)
         if _degree_bound(g, principals) <= best[0]:
             continue
-        pairs = [_paths_between(g, u, v, 2 * r + 1, 0, edge_bit)
-                 for u, v in combinations(principals, 2)]
-        pairs = [cands for cands in pairs if cands]
-        if not Fraction(len(pairs), k) > best[0]:
+        edges, pairs = [], []
+        for u, v in combinations(principals, 2):
+            if topological and g.has_edge(u, v):
+                edges.append((u, v))
+                continue
+            cands = _paths_between(g, u, v, 2 * r + 1, mask if topological else 0, edge_bit)
+            if cands:
+                pairs.append(cands)
+        if not Fraction(len(edges) + len(pairs), k) > best[0]:
             continue
-        packed = _pack_paths(pairs, r, n)
-        value = Fraction(len(packed), k)
+        packed = _pack_paths(pairs, 1 if topological else r, n)
+        value = Fraction(len(edges) + len(packed), k)
         if value > best[0]:
-            best = value, ImmersionModel(principals, packed, r)
+            best = value, cls(principals, edges + packed, r)
     return best
 
 

@@ -122,15 +122,17 @@ def is_connected_mask(adj_mask, mask):
     return next(component_masks(adj_mask, mask), 0) == mask
 
 
-def mask_radius(adj_mask, mask):
-    """Radius of the subgraph induced on the vertex bitmask: the least, over
-    its vertices, of the BFS depth inside the mask that reaches all of it;
-    inf when no vertex reaches all of it (the mask is disconnected or 0)."""
-    best = INFINITY
+def within_radius(adj_mask, mask, bound):
+    """True iff the subgraph induced on the vertex bitmask has radius at
+    most bound: a BFS inside the mask from one of its vertices, cut at
+    depth bound, reaches all of it. False for the empty mask, a
+    disconnected mask and a negative bound."""
+    if bound < 0:
+        return False
     for root in mask_vertices(mask):
         seen = frontier = 1 << root
         depth = 0
-        while seen != mask and frontier and depth < best:
+        while seen != mask and frontier and depth < bound:
             nxt = 0
             for v in mask_vertices(frontier):
                 nxt |= adj_mask[v] & mask & ~seen
@@ -138,8 +140,8 @@ def mask_radius(adj_mask, mask):
             frontier = nxt
             depth += 1
         if seen == mask:
-            best = depth
-    return best
+            return True
+    return False
 
 
 def mask_vertices(mask):

@@ -692,6 +692,32 @@ def verify_cover_oracle(g, cover):
 
 
 # ---------------------------------------------------------------------------
+# radius oracle: the least BFS eccentricity, inside the vertex set, over its
+# vertices, on an adjacency built from the edge list; None for an empty or
+# disconnected set
+
+def radius_oracle(g, vertices):
+    nbrs = {v: [] for v in vertices}
+    for u, v in g.edges:
+        if u in nbrs and v in nbrs:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    eccentricities = []
+    for source in vertices:
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:
+            for w in nbrs[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) < len(nbrs):
+            return None
+        eccentricities.append(max(dist.values()))
+    return min(eccentricities, default=None)
+
+
+# ---------------------------------------------------------------------------
 # homomorphism oracle: some map of g's vertices to h's sends every edge of g
 # to an edge of h, trying all h.n ** g.n maps
 

@@ -34,6 +34,7 @@ from sparsekit.graphs import (
     mask_of,
     peel_smallest_last,
     smallest_last_order,
+    within_radius,
 )
 
 from sparsekit.rng import Xoshiro256
@@ -47,6 +48,7 @@ from conftest import (
     degeneracy_oracle,
     degeneracy_peel_oracle,
     orient_smallest_last_oracle,
+    radius_oracle,
     random_graph,
     smallest_last_order_oracle,
 )
@@ -210,6 +212,19 @@ def test_connected_subsets_yield_each_connected_set_once(small_graph_sample):
                     for s in combinations(range(g.n), k)
                     if is_connected_mask(g.adj_mask, mask_of(s))}
             assert len(got) == len(want) and set(got) == want
+
+
+def test_within_radius_matches_oracle():
+    # every graph of at most 6 vertices, every vertex mask (0 included) and
+    # every bound from -1 to n: True exactly when the mask is nonempty and
+    # connected with radius <= bound
+    for n in range(7):
+        for g in all_graphs_up_to_iso(n):
+            for mask in range(1 << n):
+                radius = radius_oracle(g, [v for v in range(n) if mask >> v & 1])
+                for bound in range(-1, n + 1):
+                    want = radius is not None and radius <= bound
+                    assert within_radius(g.adj_mask, mask, bound) == want, (g.edges, mask, bound)
 
 
 def test_colorset_components_match_oracle(peel_sample):

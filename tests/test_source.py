@@ -19,3 +19,20 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, unused
+
+
+def test_every_private_definition_is_used():
+    # a private function, method or class (dunders aside) that no name or
+    # attribute anywhere in the package refers to is dead code
+    defined, referred = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    dead = [name for name in defined if name.split(".")[1] not in referred]
+    assert not dead, dead
